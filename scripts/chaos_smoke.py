@@ -71,7 +71,9 @@ AGG_KEYS = (
 )
 
 GRID = {
-    "apps": ["ft", "cg"],
+    # Mirrors specs/chaos_sweep.yaml: three batch units, so a pool kill
+    # lands with a unit outstanding.
+    "apps": ["ft", "cg", "wupwise"],
     "policies": ["shared", "static-equal"],
     "intervals": 30,
     "interval_instructions": 8000,

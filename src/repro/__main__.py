@@ -84,7 +84,7 @@ from repro.obs import (
 from repro.partition import POLICY_REGISTRY
 from repro.prep import configure_prep, get_prep_store
 from repro.serve.protocol import DEFAULT_PORT
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND, SystemConfig
 from repro.trace.workloads import list_workloads
 
 __all__ = ["build_parser", "main"]
@@ -158,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--cache-backend", default="fast", choices=("fast", "reference", "batch"),
-            help="shared-L2 implementation: fast (vectorized replay kernel, "
-            "default), reference (readable per-set model), or batch (cells "
-            "sharing a prepared program replay together in one pass); "
-            "outputs are byte-identical",
+            "--cache-backend", default=DEFAULT_CACHE_BACKEND, choices=CACHE_BACKENDS,
+            help="shared-L2 implementation: batch (compiled lane kernel; "
+            "cells sharing a prepared program replay together in one pass; "
+            "default), fast (vectorized Python replay kernel), or reference "
+            "(readable per-set model); outputs are byte-identical",
         )
         p.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
@@ -557,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instructions per thread per interval",
     )
     p_sub.add_argument(
-        "--cache-backend", default="fast", choices=("fast", "reference", "batch"),
+        "--cache-backend", default=DEFAULT_CACHE_BACKEND, choices=CACHE_BACKENDS,
         help="shared-L2 implementation (must match other submitters for "
         "coalescing: the backend is part of the cell identity)",
     )
@@ -727,8 +727,8 @@ def _report_execution(args: argparse.Namespace) -> None:
 
 def _batch_suffix() -> str:
     """`` batches=... batch-lanes=... ...`` fragment for verbose lines —
-    only the batch counters that are non-zero, so non-batched runs stay
-    one short line."""
+    only the batch and compiled-kernel fallback counters that are
+    non-zero, so healthy non-batched runs stay one short line."""
     counters = METRICS.snapshot().get("counters", {})
     parts = []
     for counter, label in (
@@ -736,6 +736,7 @@ def _batch_suffix() -> str:
         ("batch.lanes", "batch-lanes"),
         ("batch.fallback", "batch-fallback"),
         ("batch.fallback_pure", "batch-fallback-pure"),
+        ("l1.fallback_pure", "l1-fallback-pure"),
         ("batch.failed", "batch-failed"),
     ):
         value = counters.get(counter, 0)

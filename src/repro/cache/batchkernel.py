@@ -1,4 +1,4 @@
-"""Runtime-compiled C lane kernel for :mod:`repro.cache.batch`.
+"""Runtime-compiled C routines: the lane kernel and the L1 filter.
 
 The batched backend replays one prepared program under many policy/L2
 lanes.  Lane state is NumPy struct-of-arrays, but the per-access control
@@ -31,10 +31,17 @@ the next interval tick (returns ``1``) or the program completes
 policy consultation, target installation, reconfiguration overhead —
 and re-enters.  Barriers and thread completion are handled in C.
 
+``l1_filter`` is the private-L1 trace filter of :mod:`repro.cache.l1`,
+the same MRU-list loop over a per-set tag array.  It lives in the same
+source so one build (and one :func:`kernel_available` probe) provides
+both routines.
+
 Compiled objects are cached on disk keyed by the SHA-256 of the source,
 so sibling worker processes share one build.  When no compiler is
-available (or the build fails) :func:`load_kernel` returns ``None`` and
-the batch backend falls back to the pure-Python fastpath per lane.
+available (or the build fails) :func:`load_kernel` and
+:func:`load_l1_filter` return ``None``: the batch backend falls back to
+the pure-Python fastpath per lane (``batch.fallback_pure``) and the L1
+filter to its Python loop (``l1.fallback_pure``).
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["KERNEL_SOURCE", "kernel_available", "load_kernel"]
+__all__ = ["KERNEL_SOURCE", "kernel_available", "load_kernel", "load_l1_filter"]
 
 KERNEL_SOURCE = r"""
 #include <stdint.h>
@@ -248,13 +255,43 @@ pause:
     ctrl[C_SEC] = sec; ctrl[C_ACTIVE] = active;
     return TICK;
 }
+
+/* Private-L1 trace filter: the MRU-list loop of
+ * repro.cache.l1._l1_filter_python.  Row s of `mru` holds set s's tags
+ * most-recent first; fill[s] of them are valid.  hits[i] becomes 1
+ * when access i hits, else 0. */
+void l1_filter(
+    const int64_t *addrs, int64_t n_addrs,
+    int64_t offset_bits, int64_t index_mask, int64_t tag_shift, int64_t ways,
+    int64_t *mru, int64_t *fill, uint8_t *hits)
+{
+    int64_t i, k;
+    for (i = 0; i < n_addrs; i++) {
+        int64_t addr = addrs[i];
+        int64_t s = (addr >> offset_bits) & index_mask;
+        int64_t tag = addr >> tag_shift;
+        int64_t *row = mru + s * ways;
+        int64_t f = fill[s];
+        for (k = 0; k < f; k++) if (row[k] == tag) break;
+        if (k < f) {
+            hits[i] = 1;
+        } else {
+            hits[i] = 0;
+            /* Miss: the LRU tag (if the set is full) falls off the end. */
+            if (f < ways) fill[s] = ++f;
+            k = f - 1;
+        }
+        for (; k > 0; k--) row[k] = row[k - 1];
+        row[0] = tag;
+    }
+}
 """
 
 #: Result codes of ``replay_lane``.
 RC_DONE = 0
 RC_TICK = 1
 
-_LOADED: list = [False, None]  # [attempted, ctypes fn | None]
+_LOADED: list = [False, None]  # [attempted, ctypes CDLL | None]
 
 
 def _source_digest() -> str:
@@ -303,10 +340,10 @@ def _compile(out_path: Path) -> bool:
 
 def _bind(path: Path):
     lib = ctypes.CDLL(str(path))
-    fn = lib.replay_lane
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
     p_f64 = ctypes.POINTER(ctypes.c_double)
+    fn = lib.replay_lane
     fn.restype = ctypes.c_int64
     fn.argtypes = [
         p_i64, p_f64, p_f64, p_i64, p_i64, p_i64, p_f64, p_i64,  # streams
@@ -316,11 +353,21 @@ def _bind(path: Path):
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n, n_sections, ways
         ctypes.c_int64, ctypes.c_int64,  # set_mask, enforce
     ]
-    return fn
+    # Raw addresses (ints) rather than typed pointers: the filter runs
+    # once per thread-section, where data_as() conversions would cost
+    # more than a short trace's whole loop.
+    fn = lib.l1_filter
+    fn.restype = None
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64,  # addrs, n_addrs
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # geometry
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # mru, fill, hits
+    ]
+    return lib
 
 
-def load_kernel():
-    """The bound ``replay_lane`` routine, or ``None`` when unavailable.
+def _load_library():
+    """The bound shared object, or ``None`` when unavailable.
 
     One build/load attempt per process; the outcome (including failure)
     is memoised so a compiler-less host pays the probe exactly once.
@@ -338,6 +385,18 @@ def load_kernel():
     return _LOADED[1]
 
 
+def load_kernel():
+    """The bound ``replay_lane`` routine, or ``None`` when unavailable."""
+    lib = _load_library()
+    return None if lib is None else lib.replay_lane
+
+
+def load_l1_filter():
+    """The bound ``l1_filter`` routine, or ``None`` when unavailable."""
+    lib = _load_library()
+    return None if lib is None else lib.l1_filter
+
+
 def kernel_available() -> bool:
-    """True when the compiled lane kernel can be (or has been) loaded."""
-    return load_kernel() is not None
+    """True when the compiled routines can be (or have been) loaded."""
+    return _load_library() is not None

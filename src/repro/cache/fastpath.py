@@ -430,12 +430,12 @@ class FastPartitionedSharedCache:
 
 
 #: Registry of selectable shared-cache implementations
-#: (``SystemConfig.cache_backend`` / ``--cache-backend``).  ``"batch"``
-#: is only *batched* when the exec-layer planner groups >= 2 cells onto
-#: one prepared program (see :mod:`repro.exec.batch`); a solo run with
-#: the batch backend is a 1-lane batch, which by design replays through
-#: the non-batched fastpath kernel — stacking state for one lane buys
-#: nothing — and is counted by the ``batch.fallback`` metric.
+#: (``SystemConfig.cache_backend`` / ``--cache-backend``).  A simulation
+#: on the ``"batch"`` backend never builds a cache here: grouped cells
+#: and solo cells alike replay through :func:`repro.sim.run_batch` (a
+#: solo cell is a 1-lane batch on the compiled kernel).  Only callers
+#: that drive a cache object themselves — the multi-application engine —
+#: get the fastpath class for ``"batch"``, counted by ``batch.fallback``.
 CACHE_BACKENDS = {
     "reference": PartitionedSharedCache,
     "fast": FastPartitionedSharedCache,
@@ -453,11 +453,11 @@ def make_shared_cache(
 ):
     """Build the shared L2 for the selected backend.
 
-    ``backend`` is ``"fast"`` (struct-of-arrays + fused replay kernel,
-    the default), ``"reference"`` (the readable per-set implementation
-    the differential harness treats as ground truth), or ``"batch"``
-    (multi-lane replay when cells share a prepared program; identical
-    to ``"fast"`` for a single cell).
+    ``backend`` is ``"fast"`` (struct-of-arrays + fused replay kernel),
+    ``"reference"`` (the readable per-set implementation the
+    differential harness treats as ground truth), or ``"batch"`` (whose
+    simulations replay through :mod:`repro.cache.batch`; a cache object
+    built for it is the ``"fast"`` one, counted by ``batch.fallback``).
     """
     try:
         cls = CACHE_BACKENDS[backend]

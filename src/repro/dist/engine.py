@@ -472,15 +472,15 @@ class RemoteEngine(ExecutionEngine):
     ) -> None:
         METRICS.counter("dist.jobs_shipped").inc(len(specs))
         METRICS.counter("dist.batches_shipped").inc()
-        send_frame(
-            link.sock,
-            {
-                "type": "batch",
-                "grid_digest": grid_digest,
-                "digest": codec.batch_digest(specs),
-                "jobs": [codec.encode_spec(spec) for spec in specs],
-            },
-        )
+        frame = {
+            "type": "batch",
+            "grid_digest": grid_digest,
+            "digest": codec.batch_digest(specs),
+            "jobs": [codec.encode_spec(spec) for spec in specs],
+        }
+        if self.publish_results and "store-publish" in link.caps:
+            frame["publish"] = True
+        send_frame(link.sock, frame)
 
     def _await_batch_outcome(self, link: _Link, specs: list[JobSpec]) -> dict:
         """Read frames until this unit's ``batch_outcome``, answering
@@ -525,13 +525,21 @@ class RemoteEngine(ExecutionEngine):
             for idx, payload in zip(unit, results):
                 spec = batch.specs[idx]
                 batch.attempts[idx] += 1
+                # A lane the worker filed store-side carries only its
+                # summary, as in _record_success.
+                published = bool(payload.get("published")) and (
+                    payload.get("total_cycles") is not None
+                )
                 outcome = JobOutcome(
                     spec=spec,
-                    result=RunResult.from_dict(payload),
+                    result=None if published else RunResult.from_dict(payload),
+                    published_cycles=payload["total_cycles"] if published else None,
                     attempts=batch.attempts[idx],
                     duration_s=per_cell,
                     engine=self.name,
                 )
+                if published:
+                    METRICS.counter("dist.results_published").inc()
                 batch.outcomes[idx] = outcome
                 METRICS.timer("exec.job").observe(per_cell)
                 METRICS.counter("exec.jobs_ok").inc()

@@ -297,17 +297,10 @@ class WorkerServer:
                     "error": None,
                     "duration_s": time.perf_counter() - start,
                 }
-                if frame.get("publish") and self.publish_store is not None:
-                    try:
-                        self.publish_store.put(spec, result)
-                    except OSError:
-                        # Publish channel down: relay the bytes instead.
-                        METRICS.counter("dist.worker.publish_failed").inc()
-                    else:
-                        payload["result"] = None
-                        payload["published"] = True
-                        payload["total_cycles"] = result.total_cycles
-                        METRICS.counter("dist.worker.published").inc()
+                if frame.get("publish"):
+                    published = self._publish(spec, result)
+                    if published is not None:
+                        payload.update(published, result=None)
         finally:
             if fetcher_installed:
                 self._remove_fetcher()
@@ -321,7 +314,9 @@ class WorkerServer:
         Answered by exactly one ``batch_outcome`` frame echoing the
         unit's digest; ``ok: false`` tells the coordinator to decompose
         the unit into per-job frames (fault plans never coexist with
-        batching, so there are no faults to fire here).
+        batching, so there are no faults to fire here).  With ``publish``
+        each lane is filed like a job's result and answered by its slim
+        summary.
         """
         from repro.exec.batch import execute_batch
 
@@ -341,11 +336,15 @@ class WorkerServer:
                     "duration_s": 0.0,
                 }
             else:
+                lanes = []
+                for spec, result in zip(specs, results):
+                    slim = self._publish(spec, result) if frame.get("publish") else None
+                    lanes.append(slim or result.to_dict())
                 payload = {
                     "type": "batch_outcome",
                     "digest": frame.get("digest"),
                     "ok": True,
-                    "results": [result.to_dict() for result in results],
+                    "results": lanes,
                     "error": None,
                     "duration_s": time.perf_counter() - start,
                 }
@@ -355,6 +354,20 @@ class WorkerServer:
         self.jobs_run += len(specs)
         METRICS.counter("dist.worker.jobs").inc(len(specs))
         send_frame(conn, payload)
+
+    def _publish(self, spec, result) -> dict | None:
+        """File ``result`` in the publish store; the slim summary that
+        replaces its bytes on the wire, or ``None`` to relay them."""
+        if self.publish_store is None:
+            return None
+        try:
+            self.publish_store.put(spec, result)
+        except OSError:
+            # Publish channel down: relay the bytes instead.
+            METRICS.counter("dist.worker.publish_failed").inc()
+            return None
+        METRICS.counter("dist.worker.published").inc()
+        return {"published": True, "total_cycles": result.total_cycles}
 
     # -- prep fetch ----------------------------------------------------
 

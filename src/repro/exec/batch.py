@@ -1,8 +1,8 @@
 """Batch planner: group sweep cells that share one prepared program.
 
 A sweep grid replays the same prepared program — same app, seed, thread
-count, L1 geometry, timing — once per policy/L2-geometry cell.  When the
-grid opts in (``cache_backend: "batch"``), the planner groups such cells
+count, L1 geometry, timing — once per policy/L2-geometry cell.  On the
+``"batch"`` backend (the default), the planner groups such cells
 into multi-lane *units* so an engine can execute the whole group through
 :func:`repro.sim.run_batch` in one pass: one program prep, one stream
 materialisation, N byte-identical per-cell results.
@@ -19,9 +19,9 @@ execution keeps it:
 * a custom ``job_runner`` disables batching (the runner contract is
   ``spec -> RunResult``; only the default runner is batch-equivalent);
 * a cell whose prep key is unique in the batch stays a 1-lane unit and
-  executes through the ordinary per-job path — where the ``"batch"``
-  backend falls through to the fastpath kernel (``batch.fallback``
-  counter), so an ineligible cell pays zero batching overhead.
+  executes through the ordinary per-job path — where
+  :func:`repro.sim.run_application` replays it as a 1-lane batch on the
+  same compiled kernel.
 
 Engines fan a unit's results back out into per-cell
 :class:`~repro.exec.jobs.JobOutcome`\\ s, so the journal, result store,

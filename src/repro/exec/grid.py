@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND, SystemConfig
 
 __all__ = ["DEFAULT_POLICIES", "GridError", "POLICY_ALIASES", "SweepGrid"]
 
@@ -39,8 +39,6 @@ DEFAULT_POLICIES = ("shared", "static-equal", "throughput", "model-based")
 # Short spellings accepted anywhere a policy name is; shared by the CLI's
 # argparse hook and the spec schema so both entry points normalise alike.
 POLICY_ALIASES = {"model": "model-based", "cpi": "cpi-proportional", "equal": "static-equal"}
-
-CACHE_BACKENDS = ("fast", "reference", "batch")
 
 
 class GridError(ValueError):
@@ -79,7 +77,7 @@ class SweepGrid:
     baseline: str = "shared"
     intervals: int = 50
     interval_instructions: int = 20_000
-    cache_backend: str = "fast"
+    cache_backend: str = DEFAULT_CACHE_BACKEND
 
     @classmethod
     def build(
@@ -92,7 +90,7 @@ class SweepGrid:
         baseline: str | None = None,
         intervals: int = 50,
         interval_instructions: int = 20_000,
-        cache_backend: str = "fast",
+        cache_backend: str = DEFAULT_CACHE_BACKEND,
         path: str = "grid",
     ) -> "SweepGrid":
         """Default, normalise and validate one grid.

@@ -362,6 +362,15 @@ def summarize(records: list[dict], *, top: int = 5) -> str:
                 f"{prep_stale} prepared program(s) — staged temp dirs left by "
                 "crashed writers, reclaimed"
             )
+        l1_pure = counters.get("l1.fallback_pure", 0)
+        batch_pure = counters.get("batch.fallback_pure", 0)
+        if l1_pure or batch_pure:
+            lines.append("")
+            lines.append(
+                f"compiled kernel unavailable: l1.fallback_pure={l1_pure} "
+                f"batch.fallback_pure={batch_pure} — L1 filter calls and batch "
+                "lanes ran in pure Python (no C compiler?)"
+            )
         spec_runs = counters.get("spec.runs", 0)
         cmp_runs = counters.get("compare.runs", 0)
         if spec_runs or cmp_runs:

@@ -28,7 +28,7 @@ from repro.exec.grid import SweepGrid
 from repro.exec.jobs import JobSpec
 from repro.exec.sweep import SweepCell
 from repro.partition import POLICY_REGISTRY
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND, SystemConfig
 from repro.trace.workloads import list_workloads
 
 __all__ = ["RequestError", "SweepRequest", "cell_event", "status_event"]
@@ -90,7 +90,7 @@ class SweepRequest:
     baseline: str = "shared"
     intervals: int = 50
     interval_instructions: int = 20_000
-    cache_backend: str = "fast"
+    cache_backend: str = DEFAULT_CACHE_BACKEND
     client: str = "anonymous"
     resume: bool = field(default=True, compare=False)
 
@@ -121,9 +121,11 @@ class SweepRequest:
             raise RequestError(
                 f"baseline {baseline!r} is not among the swept policies: {', '.join(policies)}"
             )
-        backend = payload.get("cache_backend", "fast")
-        if backend not in ("fast", "reference"):
-            raise RequestError("'cache_backend' must be 'fast' or 'reference'")
+        backend = payload.get("cache_backend", DEFAULT_CACHE_BACKEND)
+        if backend not in CACHE_BACKENDS:
+            raise RequestError(
+                f"'cache_backend' must be one of {', '.join(CACHE_BACKENDS)}"
+            )
         client = payload.get("client", "anonymous")
         if not isinstance(client, str) or not client:
             raise RequestError("'client' must be a non-empty string")

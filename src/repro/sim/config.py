@@ -28,7 +28,15 @@ from dataclasses import dataclass, field, replace
 from repro.cache.geometry import CacheGeometry
 from repro.cpu.timing import TimingModel
 
-__all__ = ["SystemConfig"]
+__all__ = ["CACHE_BACKENDS", "DEFAULT_CACHE_BACKEND", "SystemConfig"]
+
+#: Every selectable shared-L2 implementation (see
+#: :mod:`repro.cache.fastpath` and :mod:`repro.cache.batch`).
+CACHE_BACKENDS = ("fast", "reference", "batch")
+
+#: The backend of every config, grid, spec, serve request and CLI flag
+#: that names none: the compiled lane kernel.
+DEFAULT_CACHE_BACKEND = "batch"
 
 
 @dataclass(frozen=True)
@@ -42,11 +50,12 @@ class SystemConfig:
     sections_per_interval: int = 2
     min_ways: int = 1
     seed: int = 1
-    # Shared-L2 implementation: "fast" (struct-of-arrays + fused replay
-    # kernel) or "reference" (the readable per-set implementation).  Both
-    # are byte-identical in output (tests/test_cache_differential.py), so
-    # this selects speed, never semantics.
-    cache_backend: str = "fast"
+    # Shared-L2 implementation: "batch" (the compiled lane kernel), "fast"
+    # (struct-of-arrays + fused Python replay kernel) or "reference" (the
+    # readable per-set implementation).  All are byte-identical in output
+    # (tests/test_cache_differential.py), so this selects speed, never
+    # semantics.
+    cache_backend: str = DEFAULT_CACHE_BACKEND
 
     def __post_init__(self) -> None:
         if self.n_threads < 1:
@@ -63,9 +72,9 @@ class SystemConfig:
             raise ValueError("sections_per_interval must be >= 1")
         if self.min_ways < 0:
             raise ValueError("min_ways must be >= 0")
-        if self.cache_backend not in ("reference", "fast", "batch"):
+        if self.cache_backend not in CACHE_BACKENDS:
             raise ValueError(
-                "cache_backend must be 'reference', 'fast' or 'batch', "
+                f"cache_backend must be one of {', '.join(CACHE_BACKENDS)}, "
                 f"got {self.cache_backend!r}"
             )
 

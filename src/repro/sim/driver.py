@@ -161,8 +161,14 @@ def run_application(
     process-wide tracer from :func:`repro.obs.get_tracer`, which is the
     no-op :data:`~repro.obs.NULL_TRACER` unless the CLI (``--trace``) or a
     caller installed one.
+
+    A cell on the ``"batch"`` backend replays as a 1-lane
+    :func:`run_batch`, so it runs on the compiled lane kernel too.
     """
     config = config or SystemConfig.default()
+    if config.cache_backend == "batch":
+        (result,) = run_batch(app, [(policy, config)], tracer=tracer)
+        return result
     if tracer is None:
         tracer = get_tracer()
     with tracer.span("prepare"):

@@ -18,7 +18,7 @@ except ``spec_version`` and ``grid``)::
     config:                    # SystemConfig scaling shared by all cells
       intervals: 30
       interval_instructions: 8000
-      cache_backend: fast
+      cache_backend: batch
     engine:                    # where cells run (serial/pool/remote)
       jobs: 4
       max_retries: 2
@@ -52,6 +52,7 @@ from pathlib import Path
 from repro.exec.engine import EngineOptions, ExecutionEngine, SerialEngine
 from repro.exec.faults import FaultPlan
 from repro.exec.grid import POLICY_ALIASES, GridError, SweepGrid
+from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND
 
 __all__ = [
     "EngineSpec",
@@ -268,17 +269,17 @@ def _parse_grid(payload: dict, problems: _Problems) -> SweepGrid | None:
     # paths; SweepGrid.build re-checks them (harmlessly) with the axes.
     intervals = config_block.get("intervals", 50)
     interval_instructions = config_block.get("interval_instructions", 20_000)
-    cache_backend = config_block.get("cache_backend", "fast")
+    cache_backend = config_block.get("cache_backend", DEFAULT_CACHE_BACKEND)
     for key, value in (
         ("intervals", intervals), ("interval_instructions", interval_instructions),
     ):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             problems.add(f"spec.config.{key}", f"expected int >= 1, got {value!r}")
             return None
-    if cache_backend not in ("fast", "reference", "batch"):
+    if cache_backend not in CACHE_BACKENDS:
         problems.add(
             "spec.config.cache_backend",
-            f"expected one of fast, reference, batch, got {cache_backend!r}",
+            f"expected one of {', '.join(CACHE_BACKENDS)}, got {cache_backend!r}",
         )
         return None
     try:

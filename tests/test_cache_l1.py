@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import batchkernel
 from repro.cache.geometry import CacheGeometry
-from repro.cache.l1 import PrivateCache, simulate_l1_filter
+from repro.cache.l1 import PrivateCache, _l1_filter_python, simulate_l1_filter
+from repro.obs.metrics import METRICS
 
 from .conftest import line_address
 
@@ -14,6 +16,12 @@ from .conftest import line_address
 @pytest.fixture
 def geo():
     return CacheGeometry(sets=4, ways=2, line_bytes=64)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """A host without a C compiler: the memoised load attempt failed."""
+    monkeypatch.setattr(batchkernel, "_LOADED", [True, None])
 
 
 class TestPrivateCache:
@@ -87,3 +95,110 @@ class TestBatchFilter:
         ref = PrivateCache(geo)
         expected = np.array([ref.access(int(a)) for a in addrs])
         assert np.array_equal(mask, expected)
+
+
+@pytest.mark.skipif(
+    not batchkernel.kernel_available(),
+    reason="no C compiler: the compiled L1 filter is unavailable",
+)
+class TestCompiledFilter:
+    """The C ``l1_filter`` against the Python loop it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        addr_list=st.lists(st.integers(min_value=0, max_value=2**40), max_size=400),
+        set_bits=st.integers(min_value=0, max_value=6),
+        ways=st.integers(min_value=1, max_value=16),
+        span_bits=st.integers(min_value=8, max_value=40),
+    )
+    def test_matches_python_loop(self, addr_list, set_bits, ways, span_bits):
+        # span_bits folds the addresses into a small footprint, so most
+        # examples revisit lines (hits, MRU reorders and evictions).
+        geo = CacheGeometry(sets=2**set_bits, ways=ways, line_bytes=64)
+        addrs = np.array(addr_list, dtype=np.int64) & ((1 << span_bits) - 1)
+        mask = simulate_l1_filter(addrs, geo)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, _l1_filter_python(addrs, geo))
+        assert METRICS.counter("l1.fallback_pure").value == 0
+
+    def test_empty_input(self, geo):
+        mask = simulate_l1_filter(np.empty(0, dtype=np.int64), geo)
+        assert mask.dtype == np.bool_ and mask.size == 0
+
+    def test_non_int64_dtypes_agree(self, geo, rng):
+        addrs = rng.integers(0, 2**16, size=1000)
+        expected = _l1_filter_python(addrs, geo)
+        for dtype in (np.int32, np.uint32, np.uint64):
+            assert np.array_equal(simulate_l1_filter(addrs.astype(dtype), geo), expected)
+
+    def test_stream_bundles_are_byte_identical(self, tmp_path, monkeypatch):
+        """A prep bundle built with the C filter has the bytes of one built
+        with the Python filter."""
+        from repro.prep import set_prep_store
+        from repro.prep.store import PrepStore
+        from repro.sim.config import SystemConfig
+        from repro.sim.driver import clear_program_cache, prepare_program
+
+        config = SystemConfig(
+            l2_geometry=CacheGeometry(sets=16, ways=8),
+            interval_instructions=1_500,
+            n_intervals=5,
+        )
+
+        def publish(root):
+            clear_program_cache()
+            previous = set_prep_store(PrepStore(root))
+            try:
+                prepare_program("swim", config)
+            finally:
+                set_prep_store(previous)
+                clear_program_cache()
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        compiled = publish(tmp_path / "c")
+        monkeypatch.setattr(batchkernel, "_LOADED", [True, None])
+        python = publish(tmp_path / "python")
+        assert METRICS.counter("l1.fallback_pure").value > 0
+        assert compiled and compiled == python
+
+
+class TestPureFallback:
+    """Without a compiler both compiled routines degrade loudly."""
+
+    def test_filter_falls_back_and_counts(self, no_kernel, geo, rng):
+        addrs = rng.integers(0, 4096, size=500, dtype=np.int64)
+        mask = simulate_l1_filter(addrs, geo)
+        assert np.array_equal(mask, _l1_filter_python(addrs, geo))
+        assert METRICS.counter("l1.fallback_pure").value == 1
+        simulate_l1_filter(addrs, geo)
+        assert METRICS.counter("l1.fallback_pure").value == 2
+
+    def test_sweep_verbose_line_shows_both_counters(self, no_kernel, capsys):
+        from repro.__main__ import main
+        from repro.sim.driver import clear_program_cache
+
+        clear_program_cache()
+        rc = main([
+            "sweep", "--apps", "ft", "--policies", "shared", "static-equal",
+            "--intervals", "2", "--interval-instructions", "1000", "-v",
+        ])
+        clear_program_cache()
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "l1-fallback-pure=" in err
+        assert "batch-fallback-pure=2" in err
+
+    def test_report_shows_both_counters(self):
+        from repro.obs.export import summarize
+
+        records = [{
+            "kind": "metrics",
+            "ts": 1.0,
+            "snapshot": {"counters": {"l1.fallback_pure": 8, "batch.fallback_pure": 2}},
+        }]
+        text = summarize(records)
+        assert "compiled kernel unavailable: l1.fallback_pure=8 batch.fallback_pure=2" in text

@@ -41,6 +41,13 @@ AGG_KEYS = (
 # so the control and the kill/resume runs inject identically.
 FAULT_PLAN = '{"seed": 7, "rules": [{"kind": "job-exception", "match": "*", "attempts": [1]}]}'
 
+# Three apps, not two: a clean sweep batches each app's cells into one
+# unit, and two units on a two-worker pool finish within milliseconds of
+# each other.  The third unit waits for a free worker, so a kill sent
+# after the first unit's cells has a whole unit's run time to land.
+SWEEP_APPS = ("ft", "cg", "wupwise")
+SWEEP_CELLS = len(SWEEP_APPS) * 2
+
 
 def _sweep_argv(journal: Path | None, *, jobs: int, faults: bool, resume: bool = False):
     argv = [
@@ -49,8 +56,7 @@ def _sweep_argv(journal: Path | None, *, jobs: int, faults: bool, resume: bool =
         "repro",
         "sweep",
         "--apps",
-        "ft",
-        "cg",
+        *SWEEP_APPS,
         "--policies",
         "shared",
         "static-equal",
@@ -126,12 +132,12 @@ def test_sigkill_then_resume_matches_uninterrupted(tmp_path, jobs, faults):
         "the grid is too fast for a mid-flight SIGKILL; raise --intervals"
     )
     completed = _journal_cells(journal)
-    assert 1 <= completed < 4, "the kill must land mid-sweep"
+    assert 1 <= completed < SWEEP_CELLS, "the kill must land mid-sweep"
 
     resumed = _run_cli(_sweep_argv(journal, jobs=jobs, faults=faults, resume=True))
     # Zero recomputation of journaled cells...
     assert resumed["resumed"] == completed
-    assert resumed["simulated"] == 4 - completed
+    assert resumed["simulated"] == SWEEP_CELLS - completed
     assert resumed["store_hits"] == 0
     # ...and byte-identical aggregates vs the uninterrupted control.
     for key in AGG_KEYS:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.experiments import runner as runner_mod
+from repro.sim.config import DEFAULT_CACHE_BACKEND
 
 
 @pytest.fixture(autouse=True)
@@ -387,7 +388,7 @@ class TestServeCli:
         assert args.server == "127.0.0.1:8787"
         assert args.seeds == [1]
         assert args.thread_counts == [4]
-        assert args.cache_backend == "fast"
+        assert args.cache_backend == DEFAULT_CACHE_BACKEND
         assert not args.no_resume
 
     def test_submit_policy_aliases_normalised(self):

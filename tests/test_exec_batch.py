@@ -81,7 +81,10 @@ class TestPlanUnits:
         assert plan_units(specs) == [(0, 2), (1, 3)]
 
     def test_non_batch_backends_are_untouched(self):
-        specs = _specs([("swim", "shared"), ("swim", "model-based")], config=BASE)
+        specs = _specs(
+            [("swim", "shared"), ("swim", "model-based")],
+            config=BASE.with_(cache_backend="fast"),
+        )
         assert plan_units(specs) == [(0,), (1,)]
         assert METRICS.counter("batch.planned").value == 0
 
@@ -116,8 +119,8 @@ class TestBatchingDisabled:
 class TestSingleLaneFallback:
     def test_one_lane_unit_never_enters_batch_machinery(self, monkeypatch):
         """Regression: a cell whose prep key is unique must run through
-        the ordinary per-job path on the non-batched kernel — the batch
-        entry point must not even be called."""
+        the ordinary per-job path — the planner's batch entry point must
+        not even be called — replayed as a 1-lane batch."""
 
         def _forbidden(specs):
             raise AssertionError("execute_batch called for a 1-lane unit")
@@ -126,17 +129,19 @@ class TestSingleLaneFallback:
         spec = JobSpec("swim", "model-based", BATCHED)
         (outcome,) = SerialEngine().run([spec])
         assert outcome.ok and outcome.attempts == 1
-        # The "batch" backend fell through to the fastpath kernel ...
-        assert METRICS.counter("batch.fallback").value == 1
-        assert METRICS.counter("batch.batches").value == 0
+        # The per-job path replayed it as one lane on the batch kernel ...
+        assert METRICS.counter("batch.fallback").value == 0
+        assert METRICS.counter("batch.batches").value == 1
+        assert METRICS.counter("batch.lanes").value == 1
         # ... and produced the per-job bytes exactly.
         assert outcome.result == _fast_twin(spec)
 
     def test_fallthrough_simulation_is_byte_identical(self):
         # Direct run_application with the batch backend (no planner at
-        # all) is the same zero-overhead fallthrough.
+        # all) is the same 1-lane replay.
         result = run_application("art", "shared", BATCHED)
-        assert METRICS.counter("batch.fallback").value == 1
+        assert METRICS.counter("batch.fallback").value == 0
+        assert METRICS.counter("batch.lanes").value == 1
         assert result == run_application("art", "shared", BASE.with_(cache_backend="fast"))
 
 
@@ -174,8 +179,9 @@ class TestBatchedEngines:
         # Every cell still succeeds — with its full attempt budget.
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert METRICS.counter("batch.failed").value == 1
-        # The decomposed cells ran per-job, i.e. through the fallthrough.
-        assert METRICS.counter("batch.fallback").value == 2
+        # The decomposed cells ran per-job, i.e. as 1-lane batches.
+        assert METRICS.counter("batch.batches").value == 2
+        assert METRICS.counter("batch.lanes").value == 2
         for outcome in outcomes:
             assert outcome.result == _fast_twin(outcome.spec)
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exec.journal import grid_digest
 from repro.exec.sweep import expand_grid, grid_key
 from repro.serve.protocol import RequestError, SweepRequest, cell_event, status_event
+from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND
 
 TINY = {
     "apps": ["ft"],
@@ -67,6 +70,14 @@ class TestValidation:
         with pytest.raises(RequestError, match="cache_backend"):
             SweepRequest.from_dict({**TINY, "cache_backend": "magic"})
 
+    @pytest.mark.parametrize("backend", CACHE_BACKENDS)
+    def test_every_backend_accepted(self, backend):
+        req = SweepRequest.from_dict({**TINY, "cache_backend": backend})
+        assert req.cache_backend == backend == req.config().cache_backend
+
+    def test_backend_defaults_to_the_shared_constant(self):
+        assert SweepRequest.from_dict(TINY).cache_backend == DEFAULT_CACHE_BACKEND
+
     def test_empty_client_rejected(self):
         with pytest.raises(RequestError, match="'client'"):
             SweepRequest.from_dict({**TINY, "client": ""})
@@ -102,6 +113,33 @@ class TestIdentity:
         assert (
             SweepRequest.from_dict({**TINY, "cache_backend": "reference"}).sweep_id != base
         )
+
+    def test_unset_backend_gives_one_digest_on_every_surface(self, tmp_path, capsys):
+        """CLI flags, a spec file and a serve JSON body that all leave the
+        backend unset name the same grid."""
+        from repro.__main__ import main
+        from repro.exec.journal import SweepJournal
+        from repro.spec import load_spec
+
+        journal = tmp_path / "flags.jsonl"
+        rc = main([
+            "sweep", "--apps", "ft", "--policies", "shared", "static-equal",
+            "--intervals", "3", "--interval-instructions", "2000",
+            "--journal", str(journal),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        header, _, _ = SweepJournal.load(journal)
+        spec_file = tmp_path / "tiny.json"
+        spec_file.write_text(json.dumps({
+            "spec_version": 1,
+            "grid": {"apps": ["ft"], "policies": ["shared", "static-equal"]},
+            "config": {"intervals": 3, "interval_instructions": 2000},
+        }))
+        spec_grid = load_spec(spec_file).grid
+        request = SweepRequest.from_dict(TINY)
+        assert header["grid_digest"] == spec_grid.digest == request.sweep_id
+        assert spec_grid.cache_backend == request.cache_backend == DEFAULT_CACHE_BACKEND
 
     def test_specs_are_the_canonical_grid_expansion(self):
         req = SweepRequest.from_dict({**TINY, "seeds": [1, 2], "thread_counts": [2, 4]})

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.exec.engine import EngineOptions
 from repro.exec.grid import DEFAULT_POLICIES
+from repro.sim.config import DEFAULT_CACHE_BACKEND
 from repro.spec import ExperimentSpec, SpecError, load_spec, parse_spec
 from repro.trace.workloads import list_workloads
 
@@ -55,7 +56,7 @@ class TestDefaulting:
         assert spec.grid.baseline == "shared"
         assert spec.grid.intervals == 50
         assert spec.grid.interval_instructions == 20_000
-        assert spec.grid.cache_backend == "fast"
+        assert spec.grid.cache_backend == DEFAULT_CACHE_BACKEND
         assert spec.engine.resolved_kind() == "serial"
         assert spec.engine.options == EngineOptions()
         assert spec.journal is None and spec.faults is None
@@ -126,7 +127,8 @@ class TestRoundTrip:
     def test_to_dict_is_json_serialisable_and_fully_defaulted(self):
         doc = json.loads(json.dumps(parse_spec(MINIMAL).to_dict()))
         assert doc["config"] == {
-            "intervals": 50, "interval_instructions": 20_000, "cache_backend": "fast",
+            "intervals": 50, "interval_instructions": 20_000,
+            "cache_backend": DEFAULT_CACHE_BACKEND,
         }
         assert doc["grid"]["seeds"] == [1] and doc["grid"]["baseline"] == "shared"
 
