@@ -1,13 +1,13 @@
-"""Reference-vs-fast-vs-batch L2 backend benchmark (the BENCH.md baseline).
+"""Reference-vs-batch L2 backend benchmark (the BENCH.md baseline).
 
 Times the simulation engine only — program preparation is done outside
 the measured region (the program memo is warmed first), and each
 repetition gets a fresh policy, runtime and cache so no state leaks
 between timings — on the policy-comparison replays behind Figs. 19-22.
-All backends must be byte-identical (tests/test_cache_differential.py
+Both backends must be byte-identical (tests/test_cache_differential.py
 pins that), so the only thing measured here is speed.
 
-``reference`` and ``fast`` replay one cell at a time; ``batch`` replays
+``reference`` replays one cell at a time; ``batch`` replays
 every policy cell of an app through :func:`repro.sim.run_batch` in one
 pass over the shared prepared program, so its per-cell number is the
 batch wall amortised over its lanes — exactly what a sweep cell pays.
@@ -42,7 +42,7 @@ from pathlib import Path
 import pytest
 
 from repro import __version__
-from repro.cache import make_shared_cache
+from repro.cache import PartitionedSharedCache
 from repro.core import RuntimeSystem
 from repro.cpu import CMPEngine
 from repro.sim.config import SystemConfig
@@ -51,7 +51,7 @@ from repro.sim.driver import make_policy, prepare_program, run_batch
 #: The fig19-22 slice used as the tracked baseline: three 4-core apps
 #: under the headline policy comparison, plus the 8-core sensitivity
 #: point.  Chosen to exercise both kernel families (partition-enforcing
-#: and plain-LRU) and both geometry specialisations.
+#: and plain-LRU) and both thread counts.
 FOUR_CORE_APPS = ("swim", "art", "equake")
 FOUR_CORE_POLICIES = ("model-based", "shared", "static-equal", "throughput")
 EIGHT_CORE_POLICIES = ("model-based", "fairness", "cpi-proportional")
@@ -62,15 +62,20 @@ EIGHT_CORE_POLICIES = ("model-based", "fairness", "cpi-proportional")
 LANE_COUNTS = (1, 2, 4, 8)
 
 
-def _engine_for(compiled, policy: str, config: SystemConfig, backend: str) -> CMPEngine:
-    """Fresh policy/runtime/cache/engine stack for one measured run."""
+#: CI floor for ``batch_vs_reference`` at ``--smoke`` scale: about half
+#: the ratio measured on a 2-core x86-64 host (10-15x), so a kernel that
+#: rots back toward per-access Python dispatch fails without flaking.
+SMOKE_FLOOR = 6.6
+
+
+def _engine_for(compiled, policy: str, config: SystemConfig) -> CMPEngine:
+    """Fresh policy/runtime/reference-cache/engine stack for one run."""
     pol = make_policy(policy, config)
     pol.reset()
     runtime = RuntimeSystem(pol, app=compiled.name)
-    l2 = make_shared_cache(
+    l2 = PartitionedSharedCache(
         config.l2_geometry,
         config.n_threads,
-        backend=backend,
         enforce_partition=pol.enforce_partition,
         targets=runtime.initial_targets(),
     )
@@ -83,8 +88,9 @@ def _engine_for(compiled, policy: str, config: SystemConfig, backend: str) -> CM
     )
 
 
-def _time_once(compiled, policy: str, config: SystemConfig, backend: str) -> float:
-    engine = _engine_for(compiled, policy, config, backend)
+def _time_once(compiled, policy: str, config: SystemConfig) -> float:
+    """Wall seconds for one solo reference replay."""
+    engine = _engine_for(compiled, policy, config)
     start = time.perf_counter()
     engine.run()
     return time.perf_counter() - start
@@ -118,12 +124,9 @@ def measure(config: SystemConfig, apps, policies, reps: int = 3) -> dict:
         batch_wall = min(_time_batch(app, policies, config) for _ in range(reps))
         for policy in policies:
             rows[app, policy] = {
-                backend: min(
-                    _time_once(compiled, policy, config, backend) for _ in range(reps)
-                )
-                for backend in ("reference", "fast")
+                "reference": min(_time_once(compiled, policy, config) for _ in range(reps)),
+                "batch": batch_wall / len(policies),
             }
-            rows[app, policy]["batch"] = batch_wall / len(policies)
     return rows
 
 
@@ -134,11 +137,11 @@ def measure_lane_scaling(
 
     Lanes run sequentially over shared state (no SIMD across lanes), so
     the wall grows ~linearly with lanes; what amortises is the fixed
-    per-batch setup plus the per-cell dispatch the fastpath pays N
-    times.  ``speedup_vs_fast`` is against N solo fastpath replays.
+    per-batch setup (one stream materialisation, one state allocation).
+    ``speedup_vs_reference`` is against N solo reference replays.
     """
     compiled = prepare_program(app, config)
-    solo_fast = min(_time_once(compiled, policies[0], config, "fast") for _ in range(reps))
+    solo_ref = min(_time_once(compiled, policies[0], config) for _ in range(reps))
     curve = []
     for n in LANE_COUNTS:
         lanes = [policies[i % len(policies)] for i in range(n)]
@@ -148,7 +151,7 @@ def measure_lane_scaling(
                 "lanes": n,
                 "wall_s": wall,
                 "per_lane_s": wall / n,
-                "speedup_vs_fast": (solo_fast * n) / wall,
+                "speedup_vs_reference": (solo_ref * n) / wall,
             }
         )
     return curve
@@ -156,30 +159,22 @@ def measure_lane_scaling(
 
 def report(title: str, rows: dict) -> dict:
     totals = {
-        backend: sum(r[backend] for r in rows.values())
-        for backend in ("reference", "fast", "batch")
+        backend: sum(r[backend] for r in rows.values()) for backend in ("reference", "batch")
     }
     print(f"\n{title}")
     for (app, policy), r in rows.items():
         print(
             f"  {app:8s} {policy:16s} ref={r['reference']:.3f}s "
-            f"fast={r['fast']:.3f}s batch={r['batch']:.3f}s  "
-            f"fast {r['reference'] / r['fast']:.2f}x / "
-            f"batch {r['reference'] / r['batch']:.2f}x"
+            f"batch={r['batch']:.3f}s  batch {r['reference'] / r['batch']:.2f}x"
         )
     agg = {
         "reference_s": totals["reference"],
-        "fast_s": totals["fast"],
         "batch_s": totals["batch"],
-        "fast_vs_reference": totals["reference"] / totals["fast"],
         "batch_vs_reference": totals["reference"] / totals["batch"],
-        "batch_vs_fast": totals["fast"] / totals["batch"],
     }
     print(
-        f"  aggregate: ref={totals['reference']:.2f}s fast={totals['fast']:.2f}s "
-        f"batch={totals['batch']:.2f}s  fast {agg['fast_vs_reference']:.2f}x / "
-        f"batch {agg['batch_vs_reference']:.2f}x (batch vs fast "
-        f"{agg['batch_vs_fast']:.2f}x)"
+        f"  aggregate: ref={totals['reference']:.2f}s batch={totals['batch']:.2f}s  "
+        f"batch {agg['batch_vs_reference']:.2f}x"
     )
     return agg
 
@@ -207,9 +202,7 @@ def _rows_payload(rows: dict) -> list[dict]:
             "app": app,
             "policy": policy,
             "reference_s": r["reference"],
-            "fast_s": r["fast"],
             "batch_s": r["batch"],
-            "fast_vs_reference": r["reference"] / r["fast"],
             "batch_vs_reference": r["reference"] / r["batch"],
         }
         for (app, policy), r in rows.items()
@@ -227,39 +220,38 @@ def write_json(path: str, payload: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("reference", "fast"))
+@pytest.mark.parametrize("backend", ("reference", "batch"))
 @pytest.mark.parametrize("policy", ("model-based", "shared"))
 def test_replay_backend(benchmark, policy, backend):
     config = SystemConfig.quick()
     compiled = prepare_program("art", config)
 
     def run():
-        return _engine_for(compiled, policy, config, backend).run()
+        if backend == "batch":
+            (result,) = run_batch("art", [(policy, config.with_(cache_backend="batch"))])
+            return result
+        return _engine_for(compiled, policy, config).run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_cycles > 0
 
 
-def test_fast_backend_is_faster(benchmark):
-    """Smoke guard: fast must beat reference on the same replay.
+def test_batch_backend_is_faster(benchmark):
+    """Smoke guard: a 1-lane batch must beat the reference replay.
 
-    The full >= 3x aggregate claim is measured at evaluation scale by the
+    The aggregate claims are measured at evaluation scale by the
     standalone entry point below and recorded in BENCH.md; at the quick
-    scale used in CI a conservative 1.5x floor keeps the check cheap
-    while still catching a fast path that rots back to reference speed.
+    scale a conservative 3x floor keeps the check cheap while still
+    catching a kernel that rots back to reference speed.
     """
     config = SystemConfig.quick()
     compiled = prepare_program("art", config)
-    times = {
-        backend: min(_time_once(compiled, "model-based", config, backend) for _ in range(3))
-        for backend in ("reference", "fast")
-    }
+    reference = min(_time_once(compiled, "model-based", config) for _ in range(3))
+    batch = min(_time_batch("art", ("model-based",), config) for _ in range(3))
     benchmark.pedantic(
-        lambda: _engine_for(compiled, "model-based", config, "fast").run(),
-        rounds=1,
-        iterations=1,
+        lambda: _time_batch("art", ("model-based",), config), rounds=1, iterations=1
     )
-    assert times["reference"] / times["fast"] > 1.5, times
+    assert reference / batch > 3.0, (reference, batch)
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +261,13 @@ def test_fast_backend_is_faster(benchmark):
 
 def run_smoke(json_path: str | None) -> int:
     """CI guard at quick scale: the batched replay must be byte-identical
-    to the fastpath on every lane and at least 2x faster in aggregate.
+    to the reference on every lane and at least :data:`SMOKE_FLOOR` times
+    faster in aggregate.
 
-    The evaluation-scale claim (>= 10x vs reference) lives in BENCH.md;
-    2x-vs-fast at quick scale is deliberately conservative — it catches a
-    batch path that rots back to per-cell dispatch without flaking on CI
-    timer noise.
+    The evaluation-scale claims live in BENCH.md; the floor at quick
+    scale is about half the measured ratio, so it catches a batch path
+    that rots back to per-cell Python dispatch without flaking on timer
+    noise.
     """
     from repro.sim.driver import run_application
 
@@ -285,20 +278,19 @@ def run_smoke(json_path: str | None) -> int:
     batched = config.with_(cache_backend="batch")
     results = run_batch(app, [(policy, batched) for policy in policies])
     for policy, result in zip(policies, results):
-        solo = run_application(app, policy, config.with_(cache_backend="fast"))
+        solo = run_application(app, policy, config.with_(cache_backend="reference"))
         if result.to_dict() != solo.to_dict():
-            print(f"smoke FAIL: batch lane {app}/{policy} != fastpath", file=sys.stderr)
+            print(f"smoke FAIL: batch lane {app}/{policy} != reference", file=sys.stderr)
             return 1
 
     batch_wall = min(_time_batch(app, policies, config) for _ in range(3))
-    fast_wall = min(
-        sum(_time_once(compiled, policy, config, "fast") for policy in policies)
-        for _ in range(3)
+    ref_wall = min(
+        sum(_time_once(compiled, policy, config) for policy in policies) for _ in range(3)
     )
-    speedup = fast_wall / batch_wall
+    speedup = ref_wall / batch_wall
     print(
         f"smoke ({app}, {len(policies)} lanes, SystemConfig.quick): "
-        f"batch={batch_wall:.4f}s fast={fast_wall:.4f}s  {speedup:.2f}x"
+        f"batch={batch_wall:.4f}s reference={ref_wall:.4f}s  {speedup:.2f}x"
     )
     if json_path:
         write_json(
@@ -309,18 +301,18 @@ def run_smoke(json_path: str | None) -> int:
                 "app": app,
                 "policies": list(policies),
                 "batch_s": batch_wall,
-                "fast_s": fast_wall,
-                "batch_vs_fast": speedup,
+                "reference_s": ref_wall,
+                "batch_vs_reference": speedup,
                 "byte_identical": True,
             },
         )
-    if speedup < 2.0:
+    if speedup < SMOKE_FLOOR:
         print(
-            f"smoke FAIL: batch speedup {speedup:.2f}x below the 2.0x floor",
+            f"smoke FAIL: batch speedup {speedup:.2f}x below the {SMOKE_FLOOR}x floor",
             file=sys.stderr,
         )
         return 1
-    print(f"smoke ok: byte-identical lanes, batch {speedup:.2f}x vs fastpath")
+    print(f"smoke ok: byte-identical lanes, batch {speedup:.2f}x vs reference")
     return 0
 
 
@@ -335,12 +327,11 @@ def run_full(json_path: str | None) -> int:
         print(
             f"  lanes={point['lanes']:2d} wall={point['wall_s']:.3f}s "
             f"per-lane={point['per_lane_s']:.3f}s  "
-            f"{point['speedup_vs_fast']:.2f}x vs solo fastpath"
+            f"{point['speedup_vs_reference']:.2f}x vs solo reference"
         )
     print(
-        f"\nheadline: 4-core fast {agg4['fast_vs_reference']:.2f}x / "
-        f"batch {agg4['batch_vs_reference']:.2f}x, 8-core fast "
-        f"{agg8['fast_vs_reference']:.2f}x / batch {agg8['batch_vs_reference']:.2f}x "
+        f"\nheadline: batch {agg4['batch_vs_reference']:.2f}x (4-core) / "
+        f"{agg8['batch_vs_reference']:.2f}x (8-core) vs reference "
         "(engine-only, best of 3)"
     )
     if json_path:

@@ -3,8 +3,8 @@
 Unlike ``bench_cache_kernel.py`` (engine-only), this measures the *whole*
 job — trace generation, L1 filtering, replay — exactly what a sweep pays
 per (app, policy) when every job lands in a worker process without a
-compiled-program memo.  In-process caches (the program memo, the fastpath
-prep slots, the prep store's LRU) are cleared before every measured run,
+compiled-program memo.  In-process caches (the program memo, the prep
+store's LRU) are cleared before every measured run,
 so each number models the per-(job x process) cost:
 
 ``none``
@@ -37,7 +37,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.cache import fastpath
 from repro.prep import PrepStore, set_prep_store
 from repro.sim.config import SystemConfig
 from repro.sim.driver import clear_program_cache, run_application
@@ -52,7 +51,6 @@ MODES = ("none", "cold", "warm")
 def _clear_inprocess_caches() -> None:
     """Drop every per-process cache so a run models a fresh worker."""
     clear_program_cache()
-    fastpath._PREP_CACHE[:] = [None, None, {}]
 
 
 def _time_job(app: str, policy: str, config: SystemConfig) -> tuple[float, str]:

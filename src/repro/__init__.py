@@ -31,13 +31,7 @@ Public surface:
 # during package initialisation (both stores namespace entries by version).
 __version__ = "1.9.0"
 
-from repro.cache import (
-    CacheGeometry,
-    FastPartitionedSharedCache,
-    PartitionedSharedCache,
-    PrivateCache,
-    make_shared_cache,
-)
+from repro.cache import CacheGeometry, PartitionedSharedCache, PrivateCache
 from repro.core import IntervalObservation, RunResult, RuntimeSystem, ThreadModelBank
 from repro.cpu import CMPEngine, TimingModel, compile_program
 from repro.exec import (
@@ -70,7 +64,6 @@ __all__ = [
     "CacheGeometry",
     "ExecutionEngine",
     "FairnessOrientedPolicy",
-    "FastPartitionedSharedCache",
     "IntervalObservation",
     "JobOutcome",
     "JobSpec",
@@ -101,7 +94,6 @@ __all__ = [
     "get_prep_store",
     "get_workload",
     "list_workloads",
-    "make_shared_cache",
     "prepare_program",
     "run_application",
     "run_sweep",

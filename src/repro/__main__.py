@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-backend", default=DEFAULT_CACHE_BACKEND, choices=CACHE_BACKENDS,
             help="shared-L2 implementation: batch (compiled lane kernel; "
             "cells sharing a prepared program replay together in one pass; "
-            "default), fast (vectorized Python replay kernel), or reference "
-            "(readable per-set model); outputs are byte-identical",
+            "default) or reference (readable per-set model); outputs are "
+            "byte-identical",
         )
         p.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
@@ -734,7 +734,6 @@ def _batch_suffix() -> str:
     for counter, label in (
         ("batch.batches", "batches"),
         ("batch.lanes", "batch-lanes"),
-        ("batch.fallback", "batch-fallback"),
         ("batch.fallback_pure", "batch-fallback-pure"),
         ("l1.fallback_pure", "l1-fallback-pure"),
         ("batch.failed", "batch-failed"),

@@ -7,24 +7,16 @@ simulator evaluate several partitioning policies against identical L2
 access streams.
 """
 
-from repro.cache.fastpath import (
-    CACHE_BACKENDS,
-    FastPartitionedSharedCache,
-    make_shared_cache,
-)
 from repro.cache.geometry import CacheGeometry
 from repro.cache.l1 import PrivateCache, simulate_l1_filter
 from repro.cache.shared import PartitionedSharedCache
 from repro.cache.stats import CacheStats, StatsSnapshot
 
 __all__ = [
-    "CACHE_BACKENDS",
     "CacheGeometry",
     "CacheStats",
-    "FastPartitionedSharedCache",
     "PartitionedSharedCache",
     "PrivateCache",
     "StatsSnapshot",
-    "make_shared_cache",
     "simulate_l1_filter",
 ]

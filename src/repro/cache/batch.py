@@ -14,8 +14,8 @@ in the compiled C routine of :mod:`repro.cache.batchkernel`.
 Lanes execute sequentially, each to completion — a deliberate deviation
 from per-access lane-vectorisation: NumPy's ~2.5 µs per-operator
 dispatch on the ~20 operators a lane-parallel step needs was measured
-to lose to the fused Python fastpath below ~48 lanes, while the C lane
-kernel beats it by two orders of magnitude at any lane count (BENCH.md
+to lose even to a per-access Python kernel below ~48 lanes, while the C
+lane kernel wins by two orders of magnitude at any lane count (BENCH.md
 v1.9.0 records both).  Batching still amortises what is shared — one
 program prep, one stream materialisation, one state allocation — and
 keeps the engine-facing contract the exec layer needs: one batch in,
@@ -24,17 +24,18 @@ in lane order.
 
 Equivalence contract
 --------------------
-Identical to the fastpath's: every lane result is **byte-identical** to
-a solo reference-backend run of that cell — same IEEE-754 operations on
+Every lane result is **byte-identical** to a solo reference-backend
+run of that cell — same IEEE-754 operations on
 the same operands in the same order (the C routine transcribes the
 reference loop; all cycle quantities are integer-valued doubles, so
 busy cycles derive exactly as ``clock - stall``), same statistics, same
 interval records.  ``tests/test_cache_differential.py`` and the
 hypothesis lane-equivalence property enforce it.
 
-When no C compiler is available the batch degrades gracefully: each
-lane replays through the pure-Python fastpath kernel instead (still
-sharing the prepared program), counted by ``batch.fallback_pure``.
+When no C compiler is available the batch degrades loudly (see
+:mod:`repro.cache.batchkernel`): each lane replays on the reference
+cache and engine instead (still sharing the prepared program), counted
+by ``batch.fallback_pure``.
 """
 
 from __future__ import annotations
@@ -128,11 +129,12 @@ def _partition_distance(counts: list[int], targets: list[int], sets: int, n: int
 class _SharedStreams:
     """The per-batch stream materialisation, shared by every lane.
 
-    Per-thread concatenations (across sections) of the fastpath's fold
-    products — the same elementwise NumPy ops the fastpath performs
-    (``addresses >> off``, ``d_cycles + l2_hit_cycles``, ``d_cycles +
-    miss_cycles``), so the doubles the C kernel accumulates are the
-    doubles the reference accumulates.  When the program came from a
+    Per-thread concatenations (across sections) of the per-access
+    operands: line indices (``addresses >> off``) and the hit and miss
+    costs (``d_cycles + l2_hit_cycles``, ``d_cycles + miss_cycles``).
+    An elementwise float64 add rounds exactly like the per-access add,
+    so the doubles the C kernel accumulates are the doubles the
+    reference accumulates.  When the program came from a
     prep bundle the source arrays are mmapped views; one pass here
     copies them into kernel-contiguous layout for all lanes.
     """
@@ -376,11 +378,11 @@ def _replay_lane_compiled(
 def _replay_lane_fallback(
     compiled: CompiledProgram, lane: BatchLane, timing, interval_instructions: int
 ) -> RunResult:
-    """Pure-Python lane replay (no C compiler): the fastpath kernel."""
-    from repro.cache.fastpath import FastPartitionedSharedCache
+    """Pure-Python lane replay (no C compiler): the reference engine."""
+    from repro.cache.shared import PartitionedSharedCache
     from repro.cpu.engine import CMPEngine
 
-    l2 = FastPartitionedSharedCache(
+    l2 = PartitionedSharedCache(
         lane.geometry,
         # The compiled program fixes the thread count for every lane.
         compiled.n_threads,

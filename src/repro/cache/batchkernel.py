@@ -6,9 +6,8 @@ flow — min-clock dispatch, set probe, Section V victim selection — is
 inherently sequential *within* a lane, and a NumPy formulation of the
 lane-parallel step was measured at 2.5 µs of per-operator dispatch x ~20
 operators per step on this class of host: it cannot break even against
-the fused Python fastpath below ~48 lanes (see BENCH.md v1.9.0).  So the
-inner loop is a small C routine instead — ROADMAP item 2's "compiled
-kernel with pure-Python fallback" option — compiled once per host with
+a per-access Python kernel below ~48 lanes (see BENCH.md v1.9.0).  So
+the inner loop is a small C routine instead, compiled once per host with
 the system C compiler and loaded through :mod:`ctypes`.
 
 ``replay_lane`` is a line-for-line transcription of
@@ -38,10 +37,12 @@ both routines.
 
 Compiled objects are cached on disk keyed by the SHA-256 of the source,
 so sibling worker processes share one build.  When no compiler is
-available (or the build fails) :func:`load_kernel` and
+available (or the build or load fails) :func:`load_kernel` and
 :func:`load_l1_filter` return ``None``: the batch backend falls back to
-the pure-Python fastpath per lane (``batch.fallback_pure``) and the L1
-filter to its Python loop (``l1.fallback_pure``).
+the reference cache and engine per lane (``batch.fallback_pure``) and
+the L1 filter to its Python loop (``l1.fallback_pure``).  The fallback
+is loud: one stderr warning per process naming the cause, plus an
+``engine_degraded`` event when a tracer is enabled.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -305,19 +307,20 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-batchkernel-{os.getuid()}"
 
 
-def _compile(out_path: Path) -> bool:
+def _compile(out_path: Path) -> str | None:
     """Build the shared object next to ``out_path`` and rename into place.
 
-    The rename is atomic on POSIX, so concurrent workers racing to build
-    the same digest all end up loading one complete object.
+    Returns ``None`` on success, else why the build failed.  The rename
+    is atomic on POSIX, so concurrent workers racing to build the same
+    digest all end up loading one complete object.
     """
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        return False
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+        return "no C compiler (cc or gcc) on PATH"
     src = out_path.with_suffix(f".{os.getpid()}.c")
     tmp = out_path.with_suffix(f".{os.getpid()}.so")
     try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         src.write_text(KERNEL_SOURCE)
         proc = subprocess.run(
             [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(src)],
@@ -325,11 +328,11 @@ def _compile(out_path: Path) -> bool:
             timeout=120,
         )
         if proc.returncode != 0:
-            return False
+            return f"{cc} exited with status {proc.returncode}"
         os.replace(tmp, out_path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"building with {cc} failed: {exc}"
     finally:
         for leftover in (src, tmp):
             try:
@@ -366,22 +369,41 @@ def _bind(path: Path):
     return lib
 
 
+def _warn_unavailable(reason: str) -> None:
+    """The no-compiler degradation is loud: printed, and evented when a
+    tracer is on (the fallback counters are bumped by the callers)."""
+    from repro.obs.events import EngineDegradedEvent
+    from repro.obs.tracer import get_tracer
+
+    print(
+        f"warning: compiled kernel unavailable ({reason}); the L1 filter and "
+        "the batch backend fall back to pure Python",
+        file=sys.stderr,
+    )
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.emit(EngineDegradedEvent(engine="batch", reason=reason))
+
+
 def _load_library():
     """The bound shared object, or ``None`` when unavailable.
 
     One build/load attempt per process; the outcome (including failure)
-    is memoised so a compiler-less host pays the probe exactly once.
+    is memoised so a compiler-less host pays the probe, and the warning,
+    exactly once.
     """
     if _LOADED[0]:
         return _LOADED[1]
     _LOADED[0] = True
     so_path = _cache_dir() / f"batchkernel-{_source_digest()}.so"
-    try:
-        if not so_path.exists() and not _compile(so_path):
-            return None
-        _LOADED[1] = _bind(so_path)
-    except OSError:
-        _LOADED[1] = None
+    reason = None if so_path.exists() else _compile(so_path)
+    if reason is None:
+        try:
+            _LOADED[1] = _bind(so_path)
+        except OSError as exc:
+            reason = f"cannot load {so_path.name}: {exc}"
+    if reason is not None:
+        _warn_unavailable(reason)
     return _LOADED[1]
 
 

@@ -22,7 +22,6 @@ Two pieces of program structure are enforced here:
 
 from __future__ import annotations
 
-from repro.cache.fastpath import replay as _fastpath_replay
 from repro.cache.shared import PartitionedSharedCache
 from repro.core.records import IntervalObservation, IntervalRecord, RunResult
 from repro.cpu.streams import CompiledProgram
@@ -87,19 +86,12 @@ class CMPEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def run(self) -> RunResult:
-        """Replay the program; dispatches on the cache backend.
+        """Replay the program through the readable reference loop.
 
-        A cache advertising ``supports_replay_kernel`` (the ``"fast"``
-        backend) is driven by the fused struct-of-arrays kernel in
-        :mod:`repro.cache.fastpath`; anything else gets the readable
-        reference loop below.  Both produce byte-identical results —
-        enforced by ``tests/test_cache_differential.py``.
+        The compiled lane kernel of :mod:`repro.cache.batch` transcribes
+        this loop; ``tests/test_cache_differential.py`` pins the two
+        byte-identical.
         """
-        if getattr(self.l2, "supports_replay_kernel", False):
-            return _fastpath_replay(self)
-        return self._run_reference()
-
-    def _run_reference(self) -> RunResult:
         n = self.compiled.n_threads
         timing = self.timing
         l2 = self.l2

@@ -12,7 +12,7 @@ policy comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +69,12 @@ class L2Stream:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """All sections of a program, compiled to per-thread L2 streams.
-
-    ``fold_source`` is an optional provider of precomputed replay-prep
-    products (a :class:`repro.prep.artifacts.StreamFold` when the program
-    was materialised from a stream bundle); the fastpath duck-types it
-    and it never participates in identity or equality.
-    """
+    """All sections of a program, compiled to per-thread L2 streams."""
 
     name: str
     n_threads: int
     sections: tuple[tuple[L2Stream, ...], ...]
     meta: dict
-    fold_source: object | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_instructions(self) -> int:

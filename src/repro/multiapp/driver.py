@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cache.fastpath import make_shared_cache
+from repro.cache.shared import PartitionedSharedCache
 from repro.multiapp.allocator import (
     MissProportionalOSAllocator,
     OSAllocator,
@@ -74,14 +74,9 @@ def run_coexecution(
         if scheme == "hierarchical-static-os":
             allocator = None  # fixed initial budgets, no epochs
 
-    # The multi-app engine drives the cache through its `access()` method
-    # (no fused kernel), but the fast backend's flat layout still helps.
-    l2 = make_shared_cache(
-        config.l2_geometry,
-        total_threads,
-        backend=config.cache_backend,
-        enforce_partition=enforce,
-    )
+    # The multi-app engine drives the cache through its `access()` method,
+    # so every backend setting replays on the reference cache.
+    l2 = PartitionedSharedCache(config.l2_geometry, total_threads, enforce_partition=enforce)
     engine = MultiAppEngine(
         compiled,
         l2,

@@ -131,14 +131,19 @@ class ServeClient:
 
     def wait(self, sweep_id: str, *, poll_s: float = 0.1) -> dict:
         """Follow the event stream until the sweep reaches a terminal
-        status, then return the final status payload."""
+        status, then return the final status payload.
+
+        The terminal record the stream carries *is* that payload (with
+        ``result``); re-querying could read ``archived`` if retention
+        evicted the sweep in between."""
         while True:
             terminal = None
             for event in self.events(sweep_id):
                 if event.get("event") == "status" and event.get("status") != "running":
                     terminal = event
             if terminal is not None:
-                return self.status(sweep_id)
+                terminal.pop("event")
+                return terminal
             # Stream ended without a terminal status (e.g. drain race):
             # re-check, and re-attach if still running.
             current = self.status(sweep_id)

@@ -30,9 +30,10 @@ from repro.cpu.timing import TimingModel
 
 __all__ = ["CACHE_BACKENDS", "DEFAULT_CACHE_BACKEND", "SystemConfig"]
 
-#: Every selectable shared-L2 implementation (see
-#: :mod:`repro.cache.fastpath` and :mod:`repro.cache.batch`).
-CACHE_BACKENDS = ("fast", "reference", "batch")
+#: Every selectable shared-L2 implementation: the readable oracle
+#: (:mod:`repro.cache.shared`) and the compiled lane kernel
+#: (:mod:`repro.cache.batch`).
+CACHE_BACKENDS = ("reference", "batch")
 
 #: The backend of every config, grid, spec, serve request and CLI flag
 #: that names none: the compiled lane kernel.
@@ -50,11 +51,10 @@ class SystemConfig:
     sections_per_interval: int = 2
     min_ways: int = 1
     seed: int = 1
-    # Shared-L2 implementation: "batch" (the compiled lane kernel), "fast"
-    # (struct-of-arrays + fused Python replay kernel) or "reference" (the
-    # readable per-set implementation).  All are byte-identical in output
-    # (tests/test_cache_differential.py), so this selects speed, never
-    # semantics.
+    # Shared-L2 implementation: "batch" (the compiled lane kernel) or
+    # "reference" (the readable per-set implementation).  Both are
+    # byte-identical in output (tests/test_cache_differential.py), so this
+    # selects speed, never semantics.
     cache_backend: str = DEFAULT_CACHE_BACKEND
 
     def __post_init__(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.fastpath import make_shared_cache
+from repro.cache.shared import PartitionedSharedCache
 from repro.core.records import RunResult
 from repro.core.runtime import RuntimeSystem
 from repro.cpu.engine import CMPEngine
@@ -102,10 +102,7 @@ def _prepare_uncached(profile: WorkloadProfile, config: SystemConfig) -> Compile
     )
     compiled = compile_program(program, config.l1_geometry, config.timing)
     if store is not None:
-        arrays, meta = stream_bundle(
-            compiled, config.timing, config.l2_geometry.offset_bits
-        )
-        store.put(key, arrays, meta)
+        store.put(key, *stream_bundle(compiled))
     return compiled
 
 
@@ -176,10 +173,9 @@ def run_application(
         policy_obj = make_policy(policy, config)
         policy_obj.reset()
     runtime = RuntimeSystem(policy_obj, tracer=tracer, app=compiled.name)
-    l2 = make_shared_cache(
+    l2 = PartitionedSharedCache(
         config.l2_geometry,
         config.n_threads,
-        backend=config.cache_backend,
         enforce_partition=policy_obj.enforce_partition,
         targets=runtime.initial_targets(),
     )

@@ -1,20 +1,20 @@
-"""Differential equivalence: the fast L2 backend is a behavioural twin.
+"""Differential equivalence: the compiled ``batch`` backend is a
+behavioural twin of the reference L2.
 
-``FastPartitionedSharedCache`` (struct-of-arrays layout plus the fused
-replay kernel) exists purely for speed; this suite is the contract that
-it is *byte-identical* to the readable reference implementation:
+The lane kernel of :mod:`repro.cache.batch` exists purely for speed;
+this suite is the contract that it is *byte-identical* to the readable
+reference implementation (:class:`~repro.cache.PartitionedSharedCache`
+driven by ``CMPEngine``):
 
 * every :class:`~repro.core.records.RunResult` field — clocks, busy/stall
   cycles, instruction counts, per-thread cache statistics, interval
   records — serialises to the same JSON across apps x policies x seeds
-  x L2 geometries,
+  x L2 geometries, for solo cells (1-lane batches) and for multi-lane
+  batches alike,
 * the telemetry event stream (interval / repartition / convergence) is
-  identical event-for-event,
-* the standalone ``access()`` surface produces the same hit/miss stream,
-  statistics and occupancy under randomised traffic and live
-  repartitioning, with structural invariants intact throughout.
+  identical event-for-event.
 
-Anything the fast path gets wrong shows up here as a field-level diff,
+Anything the kernel gets wrong shows up here as a field-level diff,
 not as a silently different experiment result.
 """
 
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import pytest
 
 from repro import SystemConfig
-from repro.cache import CacheGeometry, FastPartitionedSharedCache, PartitionedSharedCache
+from repro.cache import CacheGeometry
 from repro.obs.tracer import RecordingTracer
 from repro.partition import POLICY_REGISTRY
 from repro.sim.driver import run_application, run_batch
@@ -47,27 +46,27 @@ def _result_json(app: str, policy: str, config: SystemConfig) -> str:
     return json.dumps(run_application(app, policy, config).to_dict(), sort_keys=True)
 
 
-def _diff_fields(ref: dict, fast: dict, path: str = "") -> list[str]:
+def _diff_fields(ref: dict, other: dict, path: str = "") -> list[str]:
     """Paths where two result dicts disagree (value or type)."""
-    if type(ref) is not type(fast):
-        return [f"{path}: type {type(ref).__name__} != {type(fast).__name__}"]
+    if type(ref) is not type(other):
+        return [f"{path}: type {type(ref).__name__} != {type(other).__name__}"]
     if isinstance(ref, dict):
         out = []
-        for key in sorted(set(ref) | set(fast)):
-            if key not in ref or key not in fast:
+        for key in sorted(set(ref) | set(other)):
+            if key not in ref or key not in other:
                 out.append(f"{path}.{key}: missing on one side")
             else:
-                out.extend(_diff_fields(ref[key], fast[key], f"{path}.{key}"))
+                out.extend(_diff_fields(ref[key], other[key], f"{path}.{key}"))
         return out
     if isinstance(ref, list):
-        if len(ref) != len(fast):
-            return [f"{path}: length {len(ref)} != {len(fast)}"]
+        if len(ref) != len(other):
+            return [f"{path}: length {len(ref)} != {len(other)}"]
         out = []
-        for i, (a, b) in enumerate(zip(ref, fast)):
+        for i, (a, b) in enumerate(zip(ref, other)):
             out.extend(_diff_fields(a, b, f"{path}[{i}]"))
         return out
-    if ref != fast:
-        return [f"{path}: {ref!r} != {fast!r}"]
+    if ref != other:
+        return [f"{path}: {ref!r} != {other!r}"]
     return []
 
 
@@ -76,12 +75,13 @@ def _diff_fields(ref: dict, fast: dict, path: str = "") -> list[str]:
 @pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
 @pytest.mark.parametrize("app", APPS)
 def test_run_results_byte_identical(app, policy, seed, geometry):
-    """Full matrix: RunResult.to_dict() must serialise identically."""
+    """Full matrix: a solo ``batch`` cell (a 1-lane batch) and the
+    reference run must serialise RunResult.to_dict() identically."""
     ref = run_application(app, policy, _quick_config(geometry, seed, "reference"))
-    fast = run_application(app, policy, _quick_config(geometry, seed, "fast"))
-    ref_d, fast_d = ref.to_dict(), fast.to_dict()
-    if json.dumps(ref_d, sort_keys=True) != json.dumps(fast_d, sort_keys=True):
-        diffs = _diff_fields(ref_d, fast_d)
+    solo = run_application(app, policy, _quick_config(geometry, seed, "batch"))
+    ref_d, solo_d = ref.to_dict(), solo.to_dict()
+    if json.dumps(ref_d, sort_keys=True) != json.dumps(solo_d, sort_keys=True):
+        diffs = _diff_fields(ref_d, solo_d)
         pytest.fail(
             f"backends diverge for {app}/{policy} seed={seed} {geometry}:\n  "
             + "\n  ".join(diffs[:20])
@@ -90,12 +90,12 @@ def test_run_results_byte_identical(app, policy, seed, geometry):
 
 @pytest.mark.parametrize("policy", ("model-based", "shared"))
 def test_run_results_byte_identical_eight_core(policy):
-    """The 8-thread kernel specialisations replay identically too."""
+    """Solo 8-thread cells replay identically too."""
     base = SystemConfig.quick(n_threads=8)
     ref = run_application("art", policy, base.with_(cache_backend="reference"))
-    fast = run_application("art", policy, base.with_(cache_backend="fast"))
+    solo = run_application("art", policy, base.with_(cache_backend="batch"))
     assert json.dumps(ref.to_dict(), sort_keys=True) == json.dumps(
-        fast.to_dict(), sort_keys=True
+        solo.to_dict(), sort_keys=True
     )
 
 
@@ -181,7 +181,7 @@ def test_telemetry_streams_identical(policy):
     payload, in order.
     """
     streams = {}
-    for backend in ("reference", "fast"):
+    for backend in ("reference", "batch"):
         tracer = RecordingTracer()
         run_application("swim", policy, _quick_config(GEOMETRIES[0], 1, backend), tracer=tracer)
         streams[backend] = [
@@ -190,61 +190,8 @@ def test_telemetry_streams_identical(policy):
         streams[backend + "-spans"] = [
             e.to_dict()["name"] for e in tracer.events if e.kind == "span"
         ]
-    assert streams["reference"] == streams["fast"]
-    assert streams["reference-spans"] == streams["fast-spans"]
-
-
-def _random_stream(seed: int, n_threads: int, length: int) -> list[tuple[int, int]]:
-    rng = random.Random(seed)
-    # Mixed locality: small hot region, larger warm region, cold tail.
-    regions = ((1 << 12, 0.6), (1 << 16, 0.3), (1 << 22, 0.1))
-    out = []
-    for _ in range(length):
-        thread = rng.randrange(n_threads)
-        roll, base = rng.random(), 0.0
-        for span, weight in regions:
-            base += weight
-            if roll < base:
-                out.append((thread, rng.randrange(span)))
-                break
-        else:
-            out.append((thread, rng.randrange(regions[-1][0])))
-    return out
-
-
-def _random_targets(rng: random.Random, n_threads: int, ways: int) -> list[int]:
-    cuts = sorted(rng.randrange(ways + 1) for _ in range(n_threads - 1))
-    return [b - a for a, b in zip([0, *cuts], [*cuts, ways])]
-
-
-@pytest.mark.parametrize("enforce", (True, False), ids=("partitioned", "plain-lru"))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_access_stream_differential(enforce, seed):
-    """Standalone access() surface: same hits, stats and occupancy under
-    randomised traffic with repartitioning every 512 accesses."""
-    geometry = CacheGeometry(sets=16, ways=8)
-    n_threads = 4
-    ref = PartitionedSharedCache(geometry, n_threads, enforce_partition=enforce)
-    fast = FastPartitionedSharedCache(geometry, n_threads, enforce_partition=enforce)
-    rng = random.Random(seed + 100)
-    for i, (thread, addr) in enumerate(_random_stream(seed, n_threads, 6000)):
-        if enforce and i % 512 == 0 and i:
-            targets = _random_targets(rng, n_threads, geometry.ways)
-            ref.set_targets(targets)
-            fast.set_targets(targets)
-        assert ref.access(thread, addr) == fast.access(thread, addr), (
-            f"hit/miss divergence at access {i} (thread={thread}, addr={addr:#x})"
-        )
-        if i % 1000 == 0:
-            assert ref.occupancy() == fast.occupancy()
-            fast.check_invariants()
-    assert ref.stats.snapshot() == fast.stats.snapshot()
-    assert ref.occupancy() == fast.occupancy()
-    for s in range(geometry.sets):
-        assert ref.set_occupancy(s) == fast.set_occupancy(s)
-    assert ref.partition_distance() == fast.partition_distance()
-    ref.check_invariants()
-    fast.check_invariants()
+    assert streams["reference"] == streams["batch"]
+    assert streams["reference-spans"] == streams["batch-spans"]
 
 
 def test_backend_field_rejects_unknown():

@@ -192,6 +192,32 @@ class TestPureFallback:
         assert "l1-fallback-pure=" in err
         assert "batch-fallback-pure=2" in err
 
+    def test_failed_build_warns_once_and_is_evented(self, tmp_path, monkeypatch, capsys):
+        """A fresh process on a host without a compiler: the first load
+        attempt warns on stderr naming the cause and emits one
+        ``engine_degraded`` event; later calls stay quiet but every
+        fallback lane is still counted."""
+        from repro.obs import set_tracer
+        from repro.obs.tracer import RecordingTracer
+        from repro.sim.config import SystemConfig
+        from repro.sim.driver import run_application
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+        monkeypatch.setenv("PATH", str(tmp_path / "no-compilers"))
+        monkeypatch.setattr(batchkernel, "_LOADED", [False, None])
+        tracer = RecordingTracer()
+        set_tracer(tracer)
+        config = SystemConfig(interval_instructions=1_000, n_intervals=2)
+        for _ in range(2):
+            run_application("ft", "shared", config)
+        err = capsys.readouterr().err
+        reason = "no C compiler (cc or gcc) on PATH"
+        assert err.count("warning: compiled kernel unavailable") == 1
+        assert reason in err
+        degraded = [e for e in tracer.events if e.kind == "engine_degraded"]
+        assert [(e.engine, e.reason) for e in degraded] == [("batch", reason)]
+        assert METRICS.counter("batch.fallback_pure").value == 2
+
     def test_report_shows_both_counters(self):
         from repro.obs.export import summarize
 

@@ -40,9 +40,9 @@ def _specs(pairs, config=BATCHED):
     return [JobSpec(app, policy, config) for app, policy in pairs]
 
 
-def _fast_twin(spec: JobSpec):
-    """The per-job ground truth for ``spec``: same cell, fastpath kernel."""
-    return run_application(spec.app, spec.policy, spec.config.with_(cache_backend="fast"))
+def _reference_twin(spec: JobSpec):
+    """The per-job ground truth for ``spec``: same cell, reference backend."""
+    return run_application(spec.app, spec.policy, spec.config.with_(cache_backend="reference"))
 
 
 class TestPlanUnits:
@@ -83,7 +83,7 @@ class TestPlanUnits:
     def test_non_batch_backends_are_untouched(self):
         specs = _specs(
             [("swim", "shared"), ("swim", "model-based")],
-            config=BASE.with_(cache_backend="fast"),
+            config=BASE.with_(cache_backend="reference"),
         )
         assert plan_units(specs) == [(0,), (1,)]
         assert METRICS.counter("batch.planned").value == 0
@@ -109,7 +109,7 @@ class TestBatchingDisabled:
         assert SerialEngine()._plan_units(_specs(self.BATCHABLE)) == [(0,), (1,)]
 
     def test_custom_job_runner_disables_batching(self):
-        engine = SerialEngine(job_runner=lambda spec: _fast_twin(spec))
+        engine = SerialEngine(job_runner=lambda spec: _reference_twin(spec))
         assert engine._plan_units(_specs(self.BATCHABLE)) == [(0,), (1,)]
 
     def test_default_engine_batches(self):
@@ -130,19 +130,17 @@ class TestSingleLaneFallback:
         (outcome,) = SerialEngine().run([spec])
         assert outcome.ok and outcome.attempts == 1
         # The per-job path replayed it as one lane on the batch kernel ...
-        assert METRICS.counter("batch.fallback").value == 0
         assert METRICS.counter("batch.batches").value == 1
         assert METRICS.counter("batch.lanes").value == 1
         # ... and produced the per-job bytes exactly.
-        assert outcome.result == _fast_twin(spec)
+        assert outcome.result == _reference_twin(spec)
 
     def test_fallthrough_simulation_is_byte_identical(self):
         # Direct run_application with the batch backend (no planner at
         # all) is the same 1-lane replay.
         result = run_application("art", "shared", BATCHED)
-        assert METRICS.counter("batch.fallback").value == 0
         assert METRICS.counter("batch.lanes").value == 1
-        assert result == run_application("art", "shared", BASE.with_(cache_backend="fast"))
+        assert result == run_application("art", "shared", BASE.with_(cache_backend="reference"))
 
 
 class TestBatchedEngines:
@@ -157,7 +155,7 @@ class TestBatchedEngines:
         assert METRICS.counter("batch.lanes").value == 3
         assert METRICS.counter("exec.jobs_ok").value == 3
         for outcome in outcomes:
-            assert outcome.result == _fast_twin(outcome.spec)
+            assert outcome.result == _reference_twin(outcome.spec)
 
     def test_pool_engine_matches_serial(self):
         specs = _specs(
@@ -183,7 +181,7 @@ class TestBatchedEngines:
         assert METRICS.counter("batch.batches").value == 2
         assert METRICS.counter("batch.lanes").value == 2
         for outcome in outcomes:
-            assert outcome.result == _fast_twin(outcome.spec)
+            assert outcome.result == _reference_twin(outcome.spec)
 
 
 class TestRemoteBatch:
@@ -235,10 +233,10 @@ _SOLO_CACHE: dict[tuple[str, int], dict] = {}
 
 
 def _solo(policy: str, g: int) -> dict:
-    """Cached per-cell ground truth (fastpath replay) for one lane."""
+    """Cached per-cell ground truth (reference replay) for one lane."""
     key = (policy, g)
     if key not in _SOLO_CACHE:
-        config = BASE.with_(l2_geometry=_GEOMETRIES[g], cache_backend="fast")
+        config = BASE.with_(l2_geometry=_GEOMETRIES[g], cache_backend="reference")
         _SOLO_CACHE[key] = run_application("swim", policy, config).to_dict()
     return _SOLO_CACHE[key]
 

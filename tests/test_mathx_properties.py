@@ -11,8 +11,8 @@ hunts for inputs that break:
 * PCHIP monotonicity on monotone data (its whole reason to exist),
 * isotonic regression idempotence, ordering and mean preservation,
 * bitwise agreement of the scalar fast paths with the vectorised
-  evaluators — the property the fast cache backend's model-based policy
-  replay depends on for byte-identical results.
+  evaluators — the property model-based policy replay depends on for
+  byte-identical results.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def test_pchip_is_monotone_on_monotone_data(data):
 def test_scalar_fast_paths_bitwise_match_array_paths(data, queries):
     """float(model(q)) must equal model(np.array([q]))[0] to the last ulp.
 
-    The fast replay kernel calls the models one scalar at a time while
-    the reference path may batch; the differential-equivalence contract
-    therefore needs these to agree exactly, not approximately.
+    The runtime calls the models one scalar at a time while other
+    callers may batch; the differential-equivalence contract therefore
+    needs these to agree exactly, not approximately.
     """
     x, y = data
     models = [fit_cpi_model(x, y)]

@@ -193,3 +193,32 @@ class TestArchivedReplay:
             assert len(cells) == 2 and all(e["replayed"] for e in cells)
         finally:
             handle.stop()
+
+
+class TestClientWait:
+    """``wait`` returns the terminal record it streamed, not a re-query."""
+
+    DONE = {"sweep_id": "s1", "status": "done", "result": {"n_failures": 0}}
+
+    @staticmethod
+    def _client(monkeypatch, events, current):
+        client = ServeClient(port=1)
+        monkeypatch.setattr(client, "events", lambda sweep_id: iter(events))
+        monkeypatch.setattr(client, "status", lambda sweep_id: dict(current))
+        return client
+
+    def test_streamed_done_wins_over_an_archived_requery(self, monkeypatch):
+        # Retention evicted the sweep between its terminal record and any
+        # follow-up GET, which would now answer "archived" with no result.
+        events = [
+            {"event": "status", "sweep_id": "s1", "status": "running"},
+            {"event": "status", **self.DONE},
+        ]
+        archived = {"sweep_id": "s1", "status": "archived"}
+        client = self._client(monkeypatch, events, archived)
+        assert client.wait("s1") == self.DONE
+
+    def test_stream_without_terminal_record_falls_back_to_status(self, monkeypatch):
+        events = [{"event": "status", "sweep_id": "s1", "status": "running"}]
+        client = self._client(monkeypatch, events, self.DONE)
+        assert client.wait("s1") == self.DONE

@@ -78,6 +78,32 @@ class TestValidation:
     def test_backend_defaults_to_the_shared_constant(self):
         assert SweepRequest.from_dict(TINY).cache_backend == DEFAULT_CACHE_BACKEND
 
+    @pytest.mark.parametrize("surface", ("cli-flag", "spec-file", "serve-body"))
+    def test_unknown_backend_rejected_on_every_surface(self, surface, tmp_path, capsys):
+        """``fast`` names no backend: the flag, a spec file and a serve
+        body all reject it through the one declared backend list."""
+        if surface == "cli-flag":
+            from repro.__main__ import main
+
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--apps", "ft", "--cache-backend", "fast"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'fast'" in capsys.readouterr().err
+        elif surface == "spec-file":
+            from repro.spec import SpecError, load_spec
+
+            spec_file = tmp_path / "fast.json"
+            spec_file.write_text(json.dumps({
+                "spec_version": 1,
+                "grid": {"apps": ["ft"], "policies": ["shared"]},
+                "config": {"cache_backend": "fast"},
+            }))
+            with pytest.raises(SpecError, match="spec.config.cache_backend"):
+                load_spec(spec_file)
+        else:
+            with pytest.raises(RequestError, match="cache_backend"):
+                SweepRequest.from_dict({**TINY, "cache_backend": "fast"})
+
     def test_empty_client_rejected(self):
         with pytest.raises(RequestError, match="'client'"):
             SweepRequest.from_dict({**TINY, "client": ""})
