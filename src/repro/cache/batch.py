@@ -3,13 +3,14 @@
 A sweep grid replays the *same* prepared program — same app, seed,
 thread count, L1-filtered stream arrays — once per policy/L2-geometry
 cell.  :func:`replay_batch` executes N such cells ("lanes") against one
-:class:`~repro.cpu.streams.CompiledProgram`: the per-access stream
-products (line indices, hit/miss cost vectors, instruction deltas) are
-materialised once as contiguous arrays straight off the (possibly
-mmapped) :mod:`repro.prep` views, per-lane cache and CPU state lives in
-stacked struct-of-arrays (``tags``/``owner``/``last``/``lru-stamp`` of
-shape ``[lanes, sets x ways]``), and each lane's replay inner loop runs
-in the compiled C routine of :mod:`repro.cache.batchkernel`.
+:class:`~repro.cpu.streams.CompiledProgram`: every lane reads the
+program's stream arrays in place (mmapped :mod:`repro.prep` pages on a
+warm sweep) and forms each access's line index and hit/miss cost as
+it goes, per-lane cache and CPU state lives in stacked struct-of-arrays
+(``tags``/``owner``/``last``/``lru-stamp`` of shape ``[lanes, sets x
+ways]``, plus per-(set, owner) recency lists that make each victim
+choice O(threads)), and each lane's replay inner loop runs in the
+compiled C routine of :mod:`repro.cache.batchkernel`.
 
 Lanes execute sequentially, each to completion — a deliberate deviation
 from per-access lane-vectorisation: NumPy's ~2.5 µs per-operator
@@ -17,7 +18,7 @@ dispatch on the ~20 operators a lane-parallel step needs was measured
 to lose even to a per-access Python kernel below ~48 lanes, while the C
 lane kernel wins by two orders of magnitude at any lane count (BENCH.md
 v1.9.0 records both).  Batching still amortises what is shared — one
-program prep, one stream materialisation, one state allocation — and
+program prep, one set of stream arrays, one state allocation — and
 keeps the engine-facing contract the exec layer needs: one batch in,
 one byte-identical :class:`~repro.core.records.RunResult` per lane out,
 in lane order.
@@ -26,11 +27,14 @@ Equivalence contract
 --------------------
 Every lane result is **byte-identical** to a solo reference-backend
 run of that cell — same IEEE-754 operations on
-the same operands in the same order (the C routine transcribes the
-reference loop; all cycle quantities are integer-valued doubles, so
-busy cycles derive exactly as ``clock - stall``), same statistics, same
-interval records.  ``tests/test_cache_differential.py`` and the
-hypothesis lane-equivalence property enforce it.
+the same operands in the same order (the C routine computes what the
+reference loop computes; its recency lists pick the victim the
+reference's stamp scans pick, since stamps are unique within a lane;
+all cycle quantities are integer-valued doubles, so busy cycles derive
+exactly as ``clock - stall``), same statistics, same interval records.
+``tests/test_cache_differential.py``, the hypothesis lane-equivalence
+property and the victim-rule property of
+``tests/test_cache_victim_rules.py`` enforce it.
 
 When no C compiler is available the batch degrades loudly (see
 :mod:`repro.cache.batchkernel`): each lane replays on the reference
@@ -127,66 +131,43 @@ def _partition_distance(counts: list[int], targets: list[int], sets: int, n: int
 
 
 class _SharedStreams:
-    """The per-batch stream materialisation, shared by every lane.
+    """The program's stream arrays as the lane kernel reads them, shared
+    by every lane.
 
-    Per-thread concatenations (across sections) of the per-access
-    operands: line indices (``addresses >> off``) and the hit and miss
-    costs (``d_cycles + l2_hit_cycles``, ``d_cycles + miss_cycles``).
-    An elementwise float64 add rounds exactly like the per-access add,
-    so the doubles the C kernel accumulates are the doubles the
-    reference accumulates.  When the program came from a
-    prep bundle the source arrays are mmapped views; one pass here
-    copies them into kernel-contiguous layout for all lanes.
+    No copy: the kernel reads the :class:`CompiledProgram` layout in
+    place (mmapped bundle pages on a warm sweep) and forms the line
+    index and the hit and miss costs per access.  Only the small
+    per-(section, thread) tables are derived here: segment start
+    offsets and the flattened section tails.
     """
 
-    def __init__(self, compiled: CompiledProgram, off: int, l2_hit_cycles: float) -> None:
-        n = compiled.n_threads
-        n_sections = len(compiled.sections)
-        self.n_threads = n
-        self.n_sections = n_sections
-        per_line: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dch: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dcm: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dil: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self.ends = np.zeros(n_sections * n, dtype=np.int64)
-        self.tail_c = np.zeros(n_sections * n, dtype=np.float64)
-        self.tail_i = np.zeros(n_sections * n, dtype=np.int64)
-        counts = [0] * n
-        for si, section in enumerate(compiled.sections):
-            for t, s_ in enumerate(section):
-                per_line[t].append(s_.addresses >> off)
-                per_dch[t].append(s_.d_cycles + l2_hit_cycles)
-                per_dcm[t].append(s_.d_cycles + s_.miss_cycles)
-                per_dil[t].append(s_.d_instructions)
-                counts[t] += int(s_.addresses.size)
-                self.ends[si * n + t] = counts[t]
-                self.tail_c[si * n + t] = s_.tail_cycles
-                self.tail_i[si * n + t] = s_.tail_instructions
-        self.stream_base = np.zeros(n, dtype=np.int64)
-        acc = 0
-        for t in range(n):
-            self.stream_base[t] = acc
-            acc += counts[t]
-        join = lambda chunks, dt: (  # noqa: E731 — local glue
-            np.ascontiguousarray(np.concatenate([c for t in range(n) for c in chunks[t]]), dtype=dt)
-            if acc
-            else np.zeros(0, dtype=dt)
-        )
-        self.line = join(per_line, np.int64)
-        self.dch = join(per_dch, np.float64)
-        self.dcm = join(per_dcm, np.float64)
-        self.dil = join(per_dil, np.int64)
-        self.l1_acc = [0] * n
-        self.l1_hit = [0] * n
-        for section in compiled.sections:
-            for t, s_ in enumerate(section):
-                self.l1_acc[t] += s_.l1_accesses
-                self.l1_hit[t] += s_.l1_hits
+    def __init__(self, compiled: CompiledProgram) -> None:
+        arrays = compiled.arrays
+        lens = arrays["lens"]
+        self.n_sections, self.n_threads = lens.shape
+        # No-ops on the layout compile_program and the prep store build;
+        # arrays of other dtypes (hand-built streams) are converted once.
+        self.addresses = np.ascontiguousarray(arrays["addresses"], dtype=np.int64)
+        self.d_cycles = np.ascontiguousarray(arrays["d_cycles"], dtype=np.float64)
+        self.miss_cycles = np.ascontiguousarray(arrays["miss_cycles"], dtype=np.float64)
+        self.d_instructions = np.ascontiguousarray(arrays["d_instructions"], dtype=np.int64)
+        self.seg = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens.ravel(), out=self.seg[1:])
+        self.tail_c = np.ascontiguousarray(arrays["tail_cycles"].ravel(), dtype=np.float64)
+        self.tail_i = np.ascontiguousarray(arrays["tail_instructions"].ravel(), dtype=np.int64)
+        self.l1_acc = arrays["l1_accesses"].sum(axis=0).tolist()
+        self.l1_hit = arrays["l1_hits"].sum(axis=0).tolist()
 
 
 class _BatchState:
     """Stacked per-lane state: one row per lane, sized for the largest
-    lane geometry (lanes may differ in L2 sets x ways)."""
+    lane geometry (lanes may differ in L2 sets x ways).
+
+    Besides the reference cache's arrays (tags, owner, last toucher,
+    LRU stamp, fill and per-(set, owner) counts) each lane keeps a
+    recency list per (set, owner), most recent first: ``mru`` / ``lru``
+    ends per ``set * n + owner`` and ``prv`` / ``nxt`` links per slot.
+    """
 
     def __init__(self, lanes: list[BatchLane], n: int, n_sections: int) -> None:
         L = len(lanes)
@@ -199,6 +180,10 @@ class _BatchState:
         self.filled = np.zeros((L, max(lane.geometry.sets for lane in lanes)), dtype=np.int32)
         self.count = np.zeros((L, max_counts), dtype=np.int64)
         self.targets = np.zeros((L, n), dtype=np.int64)
+        self.prv = np.full((L, max_slots), -1, dtype=np.int32)
+        self.nxt = np.full((L, max_slots), -1, dtype=np.int32)
+        self.mru = np.full((L, max_counts), -1, dtype=np.int32)
+        self.lru = np.full((L, max_counts), -1, dtype=np.int32)
         self.miss = np.zeros((L, n), dtype=np.int64)
         self.evict = np.zeros((L, n), dtype=np.int64)
         self.ith = np.zeros((L, n), dtype=np.int64)
@@ -244,6 +229,7 @@ def _replay_lane_compiled(
     ctrl[_C_NEXT_TICK] = tick_len
     ctrl[_C_ACTIVE] = n
     state.targets[li, :] = targets
+    state.cursor[li, :] = shared.seg[:n]
 
     clock = state.clock[li]
     stall = state.stall[li]
@@ -265,14 +251,17 @@ def _replay_lane_compiled(
     overhead = timing.partition_overhead_cycles
 
     args = (
-        _ptr(shared.line, _P_I64), _ptr(shared.dch, _P_F64),
-        _ptr(shared.dcm, _P_F64), _ptr(shared.dil, _P_I64),
-        _ptr(shared.stream_base, _P_I64), _ptr(shared.ends, _P_I64),
+        _ptr(shared.addresses, _P_I64), _ptr(shared.d_cycles, _P_F64),
+        _ptr(shared.miss_cycles, _P_F64), _ptr(shared.d_instructions, _P_I64),
+        _ptr(shared.seg, _P_I64),
         _ptr(shared.tail_c, _P_F64), _ptr(shared.tail_i, _P_I64),
+        geo.offset_bits, timing.l2_hit_cycles,
         _ptr(state.tags[li], _P_I64), _ptr(state.owner[li], _P_I32),
         _ptr(state.last[li], _P_I32), _ptr(state.stamp[li], _P_I64),
         _ptr(state.filled[li], _P_I32), _ptr(state.count[li], _P_I64),
         _ptr(state.targets[li], _P_I64),
+        _ptr(state.prv[li], _P_I32), _ptr(state.nxt[li], _P_I32),
+        _ptr(state.mru[li], _P_I32), _ptr(state.lru[li], _P_I32),
         _ptr(miss, _P_I64), _ptr(evict, _P_I64),
         _ptr(ith, _P_I64), _ptr(ite, _P_I64), _ptr(inh, _P_I64),
         _ptr(clock, _P_F64), _ptr(stall, _P_F64), _ptr(instr, _P_I64),
@@ -433,7 +422,7 @@ def replay_batch(
             _replay_lane_fallback(compiled, lane, timing, interval_instructions)
             for lane in lanes
         ]
-    shared = _SharedStreams(compiled, off, timing.l2_hit_cycles)
+    shared = _SharedStreams(compiled)
     state = _BatchState(lanes, shared.n_threads, shared.n_sections)
     return [
         _replay_lane_compiled(

@@ -15,9 +15,15 @@ interfaces are provided:
   comparison.  This is the single biggest performance lever in the whole
   simulator and is why this function exists separately from the object API.
   The loop runs in the compiled ``l1_filter`` routine of
-  :mod:`repro.cache.batchkernel`: about 13 ns per access against about
-  390 ns for the pure-Python loop it keeps as oracle and fallback
-  (4-way L1, 1M random accesses; 2-core x86-64, CPython 3.11, gcc -O2).
+  :mod:`repro.cache.batchkernel`: 11-14 ns per access against 270-500 ns
+  for the pure-Python loop it keeps as oracle and fallback (32 x 4-way
+  L1, 1M random accesses, best of several runs; a shared 2-core x86-64
+  container at 2.0 GHz, CPython 3.11, gcc -O2; the spread is host
+  noise).  :func:`repro.cpu.streams.compile_program` filters a whole
+  program in one call (``segments=`` gives each (section, thread) trace
+  a cold L1), so the call overhead is paid once per program rather than
+  once per trace: about 20 ns per access filtered on a cold sweep,
+  call included, against about 27 ns with one call per trace.
 """
 
 from __future__ import annotations
@@ -44,8 +50,15 @@ class PrivateCache(PartitionedSharedCache):
         return super().access(0, addr)
 
 
-def simulate_l1_filter(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
+def simulate_l1_filter(
+    addrs: np.ndarray, geometry: CacheGeometry, segments: np.ndarray | None = None
+) -> np.ndarray:
     """Run ``addrs`` through an LRU cache; return a boolean hit mask.
+
+    ``segments``, when given, splits ``addrs`` into consecutive runs of
+    those lengths (they must sum to ``addrs.size``), each filtered from
+    a cold cache, as separate calls would be: a program's
+    (section, thread) traces are filtered in one call this way.
 
     Dispatches to the compiled ``l1_filter`` routine of
     :mod:`repro.cache.batchkernel`.  Without a C compiler it runs
@@ -55,22 +68,30 @@ def simulate_l1_filter(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray
     addrs = np.asarray(addrs)
     if addrs.ndim != 1:
         raise ValueError("addrs must be 1-D")
+    if segments is None:
+        segments = np.array([addrs.size], dtype=np.int64)
+    else:
+        segments = np.ascontiguousarray(segments, dtype=np.int64)
+        if segments.ndim != 1 or (segments < 0).any() or segments.sum() != addrs.size:
+            raise ValueError("segments must be non-negative lengths summing to addrs.size")
     if not np.can_cast(addrs.dtype, np.int64):
         # uint64 (or non-integer) input: Python ints keep every bit.
-        return _l1_filter_python(addrs, geometry)
+        return _l1_filter_segments(addrs, geometry, segments)
     kernel = load_l1_filter()
     if kernel is None:
         METRICS.counter("l1.fallback_pure").inc()
-        return _l1_filter_python(addrs, geometry)
+        return _l1_filter_segments(addrs, geometry, segments)
     src = np.ascontiguousarray(addrs, dtype=np.int64)
     hits = np.empty(src.size, dtype=bool)
-    # One zeroed buffer: the per-set MRU tag rows, then the fill counts.
+    # One buffer: the per-set MRU tag rows, then the fill counts (the
+    # routine zeroes them at every segment start).
     n_slots = geometry.sets * geometry.ways
-    state = np.zeros(n_slots + geometry.sets, dtype=np.int64)
+    state = np.empty(n_slots + geometry.sets, dtype=np.int64)
     mru = state.ctypes.data
     kernel(
         src.ctypes.data,
-        src.size,
+        segments.ctypes.data,
+        segments.size,
         geometry.offset_bits,
         geometry.sets - 1,
         geometry.offset_bits + geometry.index_bits,
@@ -80,6 +101,20 @@ def simulate_l1_filter(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray
         hits.ctypes.data,
     )
     return hits
+
+
+def _l1_filter_segments(
+    addrs: np.ndarray, geometry: CacheGeometry, segments: np.ndarray
+) -> np.ndarray:
+    """:func:`_l1_filter_python` over each segment, from a cold cache."""
+    bounds = np.concatenate(([0], np.cumsum(segments))).tolist()
+    return np.concatenate(
+        [np.zeros(0, dtype=bool)]
+        + [
+            _l1_filter_python(addrs[lo:hi], geometry)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    )
 
 
 def _l1_filter_python(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray:

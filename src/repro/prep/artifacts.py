@@ -11,17 +11,19 @@ Two bundle kinds, one per preparation level:
     the machine model, so one trace serves every L1/timing variant.
 
 ``streams``
-    The L1-filtered :class:`~repro.cpu.streams.L2Stream` arrays of a
+    The L1-filtered L2 stream arrays of a
     :class:`~repro.cpu.streams.CompiledProgram`, concatenated the same
-    way.  Keyed by the trace key plus the L1 geometry and timing model,
+    way: the program's own array layout
+    (:data:`~repro.cpu.streams.STREAM_ARRAYS`), stored and loaded as is.
+    Keyed by the trace key plus the L1 geometry and timing model,
     because the L1 filter and the per-access costs depend on both.  A
     hit skips trace generation *and* the L1 filtering cost.
 
 Equivalence argument: every array round-trips ``.npy`` bit-exactly
 (int64/int32/float64 are stored verbatim), reconstruction slices the
 concatenated arrays back into views with the original lengths, and every
-scalar is recovered with ``int()``/``float()`` — so a rebuilt program or
-compiled stream is value-identical to the one that was stored.  The
+scalar is recovered as a Python ``int``/``float`` — so a rebuilt program
+or compiled stream is value-identical to the one that was stored.  The
 differential suite pins this byte-for-byte.
 """
 
@@ -31,7 +33,7 @@ import hashlib
 
 import numpy as np
 
-from repro.cpu.streams import CompiledProgram, L2Stream
+from repro.cpu.streams import STREAM_ARRAYS, CompiledProgram
 from repro.prep.store import PrepBundle
 from repro.sync.program import Section, SyntheticProgram, ThreadWork
 from repro.trace.workloads import WorkloadProfile
@@ -163,75 +165,28 @@ def program_from_bundle(bundle: PrepBundle) -> SyntheticProgram:
 # Stream bundles
 # ----------------------------------------------------------------------
 
-_SCALAR_FIELDS = (
-    ("tail_instructions", np.int64),
-    ("tail_cycles", np.float64),
-    ("total_instructions", np.int64),
-    ("l1_accesses", np.int64),
-    ("l1_hits", np.int64),
-)
-
 
 def stream_bundle(compiled: CompiledProgram) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten compiled L2 streams into concatenated arrays + manifest."""
-    streams = [s for sec in compiled.sections for s in sec]
-    lens = np.array(
-        [[s.n_l2_accesses for s in sec] for sec in compiled.sections], dtype=np.int64
-    )
-    arrays = {
-        "addresses": np.concatenate([s.addresses for s in streams]),
-        "d_instructions": np.concatenate([s.d_instructions for s in streams]),
-        "d_cycles": np.concatenate([s.d_cycles for s in streams]),
-        "miss_cycles": np.concatenate([s.miss_cycles for s in streams]),
-        "lens": lens,
-    }
-    for name, dtype in _SCALAR_FIELDS:
-        arrays[name] = np.array(
-            [[getattr(s, name) for s in sec] for sec in compiled.sections], dtype=dtype
-        )
+    """A compiled program's arrays + manifest: its layout is the bundle's."""
     meta = {
         "name": compiled.name,
         "n_sections": len(compiled.sections),
         "n_threads": compiled.n_threads,
         "program_meta": dict(compiled.meta),
     }
-    return arrays, meta
+    return dict(compiled.arrays), meta
 
 
 def compiled_from_bundle(bundle: PrepBundle) -> CompiledProgram:
     """Rebuild a :class:`CompiledProgram` from a stream bundle.
 
-    Stream arrays are zero-copy views into the mmapped concatenations.
+    The program keeps the mmapped arrays themselves; its stream views
+    and the lane kernel read the mapped pages.
     """
     meta = bundle.meta
-    arrs = bundle.arrays
-    n_sections, n_threads = int(meta["n_sections"]), int(meta["n_threads"])
-    bounds = np.concatenate(([0], np.cumsum(arrs["lens"].ravel())))
-    scalars = {name: arrs[name] for name, _ in _SCALAR_FIELDS}
-    sections = []
-    k = 0
-    for s in range(n_sections):
-        row = []
-        for t in range(n_threads):
-            o0, o1 = int(bounds[k]), int(bounds[k + 1])
-            row.append(
-                L2Stream(
-                    addresses=arrs["addresses"][o0:o1],
-                    d_instructions=arrs["d_instructions"][o0:o1],
-                    d_cycles=arrs["d_cycles"][o0:o1],
-                    miss_cycles=arrs["miss_cycles"][o0:o1],
-                    tail_instructions=int(scalars["tail_instructions"][s, t]),
-                    tail_cycles=float(scalars["tail_cycles"][s, t]),
-                    total_instructions=int(scalars["total_instructions"][s, t]),
-                    l1_accesses=int(scalars["l1_accesses"][s, t]),
-                    l1_hits=int(scalars["l1_hits"][s, t]),
-                )
-            )
-            k += 1
-        sections.append(tuple(row))
     return CompiledProgram(
         name=meta["name"],
-        n_threads=n_threads,
-        sections=tuple(sections),
+        n_threads=int(meta["n_threads"]),
         meta=dict(meta["program_meta"]),
+        arrays={name: bundle.arrays[name] for name, _ in STREAM_ARRAYS},
     )

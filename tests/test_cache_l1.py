@@ -125,6 +125,40 @@ class TestCompiledFilter:
         mask = simulate_l1_filter(np.empty(0, dtype=np.int64), geo)
         assert mask.dtype == np.bool_ and mask.size == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_segments_start_cold(self, lengths, seed):
+        """One segmented call equals one call per segment, on both the
+        compiled routine and the Python loop."""
+        geo = CacheGeometry(sets=2, ways=2, line_bytes=64)
+        rng = np.random.default_rng(seed)
+        parts = [rng.integers(0, 1024, size=n, dtype=np.int64) for n in lengths]
+        addrs = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+        expected = np.concatenate(
+            [np.zeros(0, dtype=bool)] + [_l1_filter_python(p, geo) for p in parts]
+        )
+        mask = simulate_l1_filter(addrs, geo, segments=np.array(lengths, dtype=np.int64))
+        assert np.array_equal(mask, expected)
+        python = simulate_l1_filter(addrs.astype(np.uint64), geo, segments=lengths)
+        assert np.array_equal(python, expected)
+
+    @pytest.mark.parametrize("segments", [[3], [2, 3], [-1, 5], [[4]]])
+    def test_segments_must_cover_the_input(self, geo, segments):
+        with pytest.raises(ValueError):
+            simulate_l1_filter(np.zeros(4, dtype=np.int64), geo, segments=segments)
+
+    def test_compiler_flags_name_the_built_object(self, monkeypatch):
+        """A flag change with the same source builds a new object rather
+        than loading one built with the old flags."""
+        assert "-ffp-contract=off" in batchkernel._CFLAGS
+        before = batchkernel._library_path()
+        monkeypatch.setattr(batchkernel, "_CFLAGS", (*batchkernel._CFLAGS, "-DREBUILD"))
+        after = batchkernel._library_path()
+        assert after != before and after.parent == before.parent
+
     def test_non_int64_dtypes_agree(self, geo, rng):
         addrs = rng.integers(0, 2**16, size=1000)
         expected = _l1_filter_python(addrs, geo)
@@ -132,8 +166,9 @@ class TestCompiledFilter:
             assert np.array_equal(simulate_l1_filter(addrs.astype(dtype), geo), expected)
 
     def test_stream_bundles_are_byte_identical(self, tmp_path, monkeypatch):
-        """A prep bundle built with the C filter has the bytes of one built
-        with the Python filter."""
+        """A prep bundle built by the compiled passes (C filter and
+        stream compile) has the bytes of one built without a compiler
+        (Python filter and the NumPy oracle, trace by trace)."""
         from repro.prep import set_prep_store
         from repro.prep.store import PrepStore
         from repro.sim.config import SystemConfig
@@ -160,9 +195,12 @@ class TestCompiledFilter:
             }
 
         compiled = publish(tmp_path / "c")
+        assert METRICS.counter("l1.fallback_pure").value == 0
         monkeypatch.setattr(batchkernel, "_LOADED", [True, None])
         python = publish(tmp_path / "python")
-        assert METRICS.counter("l1.fallback_pure").value > 0
+        # Without a compiler the NumPy oracle compiles trace by trace.
+        traces = config.n_threads * config.n_intervals * config.sections_per_interval
+        assert METRICS.counter("l1.fallback_pure").value == traces
         assert compiled and compiled == python
 
 

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache import batchkernel
 from repro.cache.geometry import CacheGeometry
-from repro.cpu.streams import compile_program, compile_thread_work
+from repro.cpu.streams import (
+    STREAM_ARRAYS,
+    CompiledProgram,
+    compile_program,
+    compile_thread_work,
+)
 from repro.cpu.timing import TimingModel
 from repro.sync.program import Section, SyntheticProgram, ThreadWork
 from repro.trace.layout import STREAM_BASE_ADDRESS
@@ -113,3 +121,85 @@ class TestCompileProgram:
         assert compiled.total_instructions == prog.instructions
         assert compiled.total_l2_accesses > 0
         assert compiled.name == "t"
+
+
+# -- compiled stream compile vs the NumPy oracle ------------------------
+
+# Address bases: a private region and both sides of the streaming boundary.
+_BASES = (0, STREAM_BASE_ADDRESS - 4096, STREAM_BASE_ADDRESS)
+
+
+@st.composite
+def _works(draw, n_threads: int):
+    """One section's traces: random, empty or single-line (all hits
+    after the first access) per thread."""
+    works = []
+    for _ in range(n_threads):
+        kind = draw(st.sampled_from(["random", "empty", "one-line"]))
+        size = 0 if kind == "empty" else draw(st.integers(1, 80))
+        base = draw(st.sampled_from(_BASES))
+        if kind == "one-line":
+            offsets = [draw(st.integers(0, 1 << 13))] * size
+        else:
+            offsets = draw(st.lists(st.integers(0, 1 << 13), min_size=size, max_size=size))
+        gaps = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        works.append(
+            ThreadWork(
+                addrs=np.array(offsets, dtype=np.int64) + base,
+                gaps=np.array(gaps, dtype=np.int32),
+            )
+        )
+    return Section(works=tuple(works))
+
+
+@st.composite
+def _cases(draw):
+    n_threads = draw(st.integers(1, 4))
+    sections = tuple(draw(_works(n_threads)) for _ in range(draw(st.integers(1, 4))))
+    geometry = CacheGeometry(
+        sets=draw(st.sampled_from([1, 2, 4, 16])),
+        ways=draw(st.integers(1, 4)),
+        line_bytes=draw(st.sampled_from([32, 64])),
+    )
+    cost = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+    l1, l2, stream, mem = sorted(draw(st.lists(cost, min_size=4, max_size=4)))
+    timing = TimingModel(
+        base_cpi=draw(st.floats(0.01, 4.0, allow_nan=False, allow_infinity=False)),
+        l1_hit_cycles=l1,
+        l2_hit_cycles=l2,
+        stream_miss_cycles=stream,
+        mem_cycles=mem,
+    )
+    return SyntheticProgram(name="p", sections=sections), geometry, timing
+
+
+@pytest.mark.skipif(not batchkernel.kernel_available(), reason="needs a C compiler")
+@settings(max_examples=200, deadline=None)
+@given(case=_cases())
+def test_compiled_stream_compile_matches_numpy_oracle(case):
+    """The C stream compile writes the bytes the per-trace NumPy oracle
+    does, in every array of the layout, and its views carry the same
+    scalars with the same Python types."""
+    program, geometry, timing = case
+    compiled = compile_program(program, geometry, timing)
+    oracle = CompiledProgram(
+        name=program.name,
+        n_threads=program.n_threads,
+        sections=tuple(
+            tuple(compile_thread_work(w, geometry, timing) for w in sec.works)
+            for sec in program.sections
+        ),
+    )
+    for name, dtype in STREAM_ARRAYS:
+        got, want = compiled.arrays[name], oracle.arrays[name]
+        assert got.dtype == want.dtype == dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for got_sec, want_sec in zip(compiled.sections, oracle.sections, strict=True):
+        for got, want in zip(got_sec, want_sec, strict=True):
+            for field in ("tail_instructions", "tail_cycles", "total_instructions",
+                          "l1_accesses", "l1_hits"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert type(a) is type(b) and a == b, field
+            assert got.addresses.tobytes() == want.addresses.tobytes()
+            assert got.d_cycles.tobytes() == want.d_cycles.tobytes()
