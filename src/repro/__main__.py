@@ -53,11 +53,12 @@ from repro.exec import (
     POLICY_ALIASES,
     FaultPlan,
     GridError,
+    ENGINE_KINDS,
     JournalMismatchError,
-    ProcessPoolEngine,
     ResultStore,
-    SerialEngine,
     SweepGrid,
+    build_engine,
+    engine_kind,
     run_sweep,
     set_fault_plan,
 )
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for simulations (>= 1; 1 = serial, default)",
         )
         p.add_argument(
-            "--engine", default=None, choices=("serial", "pool", "remote"),
+            "--engine", default=None, choices=ENGINE_KINDS,
             help="execution engine (default: inferred — remote if --workers "
             "is given, pool if --jobs > 1, else serial)",
         )
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for simulations (>= 1; 1 = serial, default)",
     )
     p_srv.add_argument(
-        "--engine", default=None, choices=("serial", "pool", "remote"),
+        "--engine", default=None, choices=ENGINE_KINDS,
         help="execution engine (default: inferred — remote if --workers "
         "is given, pool if --jobs > 1, else serial)",
     )
@@ -650,20 +651,8 @@ def _setup_execution(args: argparse.Namespace) -> str | None:
     registrar = getattr(args, "registrar", None)
     registry_dir = getattr(args, "registry_dir", None)
     discovery = registrar or registry_dir
-    engine_name = args.engine or (
-        "remote"
-        if (args.workers or discovery)
-        else "pool" if args.jobs > 1 else "serial"
-    )
-    if engine_name == "remote":
-        if not args.workers and not discovery:
-            return (
-                "--engine remote requires --workers HOST:PORT[,...], "
-                "--registrar HOST:PORT or --registry-dir DIR"
-            )
-        from repro.dist import RemoteEngine
-
-        membership = None
+    membership = None
+    if engine_kind(args.engine, jobs=args.jobs, remote=bool(args.workers or discovery)) == "remote":
         if registrar:
             from repro.fleet import RegistrarClient
 
@@ -672,15 +661,16 @@ def _setup_execution(args: argparse.Namespace) -> str | None:
             from repro.fleet import FileRegistry
 
             membership = FileRegistry(registry_dir)
-        engine = RemoteEngine(
-            args.workers or (),
+    try:
+        engine = build_engine(
+            args.engine,
+            jobs=args.jobs,
+            workers=args.workers or (),
             membership=membership,
             publish_results=getattr(args, "publish_results", False),
         )
-    elif engine_name == "pool":
-        engine = ProcessPoolEngine(args.jobs)
-    else:
-        engine = SerialEngine()
+    except ValueError as exc:
+        return str(exc)
     store = None
     if args.cache_dir:
         shards = getattr(args, "store_shards", 1)

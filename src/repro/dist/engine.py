@@ -1,10 +1,9 @@
-"""RemoteEngine: the ExecutionEngine that runs a batch on a worker fleet.
+"""RemoteEngine: the transport that runs a batch on a worker fleet.
 
-One dispatcher thread per worker address pulls jobs from a shared queue,
-ships them over the wire (``repro.dist.protocol``), and finalises
-outcomes under one lock — so ``on_outcome`` consumers (the sweep
-journal, incremental store writes) see the same single-threaded call
-discipline the in-process engines give them.  The coordinator owns all
+One dispatcher thread per worker address claims units from the run's
+:class:`~repro.exec.dispatch.Ledger` and ships them over the wire
+(``repro.dist.protocol``); the ledger records every outcome under one
+lock, exactly as for the in-process engines.  The coordinator owns all
 retry state: a worker executes exactly one attempt per ``job`` frame,
 which is what makes attempts transferable between workers when one
 dies.
@@ -12,17 +11,15 @@ dies.
 Failure model (DESIGN.md §G):
 
 * an attempt that fails *on* a worker (job exception) is a normal retry
-  — same budget, same backoff as every other engine, via the shared
-  :class:`~repro.exec.engine.EngineOptions` semantics;
+  — the same ledger, budget and backoff as every other engine;
 * a link that dies *after* a job was shipped consumes that attempt (the
   coordinator cannot know how far the worker got, and the simulation is
   deterministic, so re-running is always safe) and the dispatcher
   reconnects; if the worker stays unreachable it is declared lost and
   its in-flight job is requeued for the rest of the fleet;
-* when every worker is lost, the engine degrades to the in-process
-  serial path — the same loud, per-batch degradation contract as
-  :class:`~repro.exec.pool.ProcessPoolEngine`, so a sweep *always*
-  completes with an outcome per job.
+* when every worker is lost, the ledger degrades the rest to the
+  in-process serial path — the one loud, per-batch degradation every
+  engine shares — so a sweep *always* completes with an outcome per job.
 
 Network faults (``slow-link``, ``conn-drop``, ``partition``) fire on the
 coordinator side of the wire, keyed on ``(job label, attempt)`` by the
@@ -36,34 +33,20 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
 from collections.abc import Sequence
 
+from repro.core.records import RunResult
 from repro.dist import codec
-from repro.dist.protocol import (
-    ProtocolError,
-    hello_frame,
-    recv_frame,
-    send_frame,
-)
-from repro.dist.registry import (
-    WorkerRegistry,
-    format_address,
-    parse_worker_address,
-)
-from repro.exec.engine import EngineOptions, ExecutionEngine, OnOutcome
+from repro.dist.protocol import ProtocolError, hello_frame, recv_frame, send_frame
+from repro.dist.registry import WorkerRegistry, format_address, parse_worker_address
+from repro.exec.dispatch import Ledger
+from repro.exec.engine import ExecutionEngine
 from repro.exec.faults import announce_faults, get_fault_plan
-from repro.exec.jobs import JobOutcome, JobSpec
-from repro.obs.events import JobEndEvent, JobShippedEvent, JobStartEvent, RetryEvent
+from repro.obs.events import JobShippedEvent
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import get_tracer
 
 __all__ = ["RemoteEngine"]
-
-#: Sentinel returned by ``_dispatch_batch_unit`` when the worker is gone
-#: for good and its dispatcher thread must exit.
-_LOST = object()
-
 
 class _Link:
     """One live, handshaken connection to a worker."""
@@ -89,59 +72,25 @@ class _Link:
             pass
 
 
-class _Batch:
-    """Shared state for one ``run()``: the queue, attempts, outcomes.
-
-    The queue holds *units* — index tuples.  Per-job traffic uses
-    1-tuples; the batch planner's multi-lane groups travel as whole
-    units so one worker executes all lanes of a group in one pass.  A
-    unit that cannot be executed batched (incapable worker, failed
-    attempt) is *decomposed* into 1-tuples and re-enters the queue.
-    """
-
-    def __init__(self, specs: list[JobSpec], units: list[tuple[int, ...]]) -> None:
-        self.specs = specs
-        self.lock = threading.Lock()
-        self.ready = threading.Condition(self.lock)
-        self.pending: deque[tuple[int, ...]] = deque(units)
-        self.inflight: set[int] = set()
-        self.attempts = [0] * len(specs)
-        self.outcomes: list[JobOutcome | None] = [None] * len(specs)
-        self.last_error = "no workers reached"
-
-    def claim(self) -> tuple[int, ...] | None:
-        """Next unit, or None once the batch has fully drained.
-        Blocks while the queue is empty but other dispatchers still have
-        jobs in flight (their failures may requeue work for us)."""
-        with self.ready:
-            while True:
-                if self.pending:
-                    unit = self.pending.popleft()
-                    self.inflight.update(unit)
-                    return unit
-                if not self.inflight:
-                    return None
-                self.ready.wait(timeout=0.05)
-
-    def release(self, unit: tuple[int, ...], *, requeue: bool) -> None:
-        with self.ready:
-            self.inflight.difference_update(unit)
-            if requeue:
-                self.pending.append(unit)
-            self.ready.notify_all()
-
-    def decompose(self, unit: tuple[int, ...]) -> None:
-        """Requeue a failed/unshippable multi-lane unit as singles; the
-        cells keep their attempt budgets and take the per-job path."""
-        with self.ready:
-            self.inflight.difference_update(unit)
-            for idx in unit:
-                self.pending.append((idx,))
-            self.ready.notify_all()
-
-    def unfinished(self) -> list[int]:
-        with self.lock:
-            return [i for i, o in enumerate(self.outcomes) if o is None]
+def _decode_lanes(frame: dict, *, batched: bool) -> tuple[list, list]:
+    """``(results, published total cycles)`` per lane of a successful
+    answer.  A job answers with its outcome frame, a batch with one
+    payload per lane; a lane the worker filed in the shared store itself
+    carries only its summary, so its result is None."""
+    if batched:
+        lanes = frame.get("results") or []
+    else:
+        lanes = [frame if frame.get("published") else frame.get("result")]
+    results, published = [], []
+    for lane in lanes:
+        if lane.get("published") and lane.get("total_cycles") is not None:
+            METRICS.counter("dist.results_published").inc()
+            results.append(None)
+            published.append(lane["total_cycles"])
+        else:
+            results.append(RunResult.from_dict(lane))
+            published.append(None)
+    return results, published
 
 
 class RemoteEngine(ExecutionEngine):
@@ -160,7 +109,7 @@ class RemoteEngine(ExecutionEngine):
         engine's own :class:`WorkerRegistry`).  With a membership source
         the batch loop polls it while the batch runs and *admits late
         joiners mid-sweep*: each newly advertised address gets its own
-        dispatcher thread against the shared claim/release batch.  A
+        dispatcher thread against the run's shared ledger.  A
         batch started against an empty fleet waits up to ``fleet_wait_s``
         for the first worker before degrading to serial.
     publish_results:
@@ -172,10 +121,10 @@ class RemoteEngine(ExecutionEngine):
         Socket budgets for establishing a link and for one frame
         round-trip.  A worker that blows ``io_timeout_s`` mid-job is
         treated as lost (its attempt is consumed and requeued).
-    options / retry-backoff kwargs / job_runner:
-        The shared :class:`~repro.exec.engine.EngineOptions` semantics;
-        ``job_runner`` only runs locally on the degrade-to-serial path
-        (workers run their own).
+
+    Every other keyword (``options``, the retry overrides, ``job_runner``)
+    is :class:`~repro.exec.engine.ExecutionEngine`'s; ``job_runner`` only
+    runs locally on the degrade-to-serial path (workers run their own).
     """
 
     name = "remote"
@@ -184,27 +133,15 @@ class RemoteEngine(ExecutionEngine):
         self,
         workers: Sequence,
         *,
-        options: EngineOptions | None = None,
-        max_retries: int | None = None,
-        backoff_s: float | None = None,
-        backoff_cap_s: float | None = None,
-        backoff_budget_s: float | None = None,
-        job_runner=None,
         connect_timeout_s: float = 10.0,
         io_timeout_s: float | None = 600.0,
         membership=None,
         fleet_poll_s: float = 0.25,
         fleet_wait_s: float = 60.0,
         publish_results: bool = False,
+        **engine_kwargs,
     ) -> None:
-        super().__init__(
-            options=options,
-            max_retries=max_retries,
-            backoff_s=backoff_s,
-            backoff_cap_s=backoff_cap_s,
-            backoff_budget_s=backoff_budget_s,
-            job_runner=job_runner,
-        )
+        super().__init__(**engine_kwargs)
         self.addresses = [parse_worker_address(w) for w in workers or ()]
         self.membership = membership
         if not self.addresses and membership is None:
@@ -217,7 +154,6 @@ class RemoteEngine(ExecutionEngine):
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
         self.registry = WorkerRegistry()
-        self._backoff_budget_lock = threading.Lock()
 
     @property
     def jobs(self) -> int:
@@ -242,34 +178,22 @@ class RemoteEngine(ExecutionEngine):
         except Exception:
             return []
 
-    # -- engine contract -----------------------------------------------
+    # -- transport ------------------------------------------------------
 
-    def run(
-        self, specs: Sequence[JobSpec], *, on_outcome: OnOutcome | None = None
-    ) -> list[JobOutcome]:
-        specs = list(specs)
-        if not specs:
-            return []
-        self._reset_backoff()
-        batch = _Batch(specs, self._plan_units(specs))
-        grid_digest = codec.batch_digest(specs)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Workers cannot reach this process's tracer; narrate from here
-            # (same discipline as the pool engine).
-            for spec in specs:
-                tracer.emit(
-                    JobStartEvent(
-                        label=spec.label, app=spec.app, policy=spec.policy, engine=self.name
-                    )
-                )
+    def _dispatch(self, ledger: Ledger) -> None:
+        """One dispatcher thread per worker claims units from the shared
+        ledger; with a membership source, late joiners get their own.
+        When every dispatcher is gone with work left, the ledger degrades
+        the rest to serial, naming the last loss."""
+        grid_digest = codec.batch_digest(ledger.specs)
+        last_error = ["no workers reached"]
         threads: dict[str, threading.Thread] = {}
 
         def spawn(address: tuple[str, int]) -> None:
             key = format_address(address)
             thread = threading.Thread(
                 target=self._dispatch_loop,
-                args=(address, batch, grid_digest, on_outcome),
+                args=(address, ledger, grid_digest, last_error),
                 name=f"dispatch-{key}",
                 daemon=True,
             )
@@ -282,26 +206,11 @@ class RemoteEngine(ExecutionEngine):
             for thread in threads.values():
                 thread.join()
         else:
-            self._run_with_admission(batch, threads, spawn)
+            self._run_with_admission(ledger, threads, spawn, last_error)
+        if not ledger.done:
+            ledger.stop(f"all workers lost ({last_error[0]})")
 
-        leftovers = batch.unfinished()
-        if leftovers:
-            # Every worker is gone; the batch still completes, loudly.
-            self._note_degraded(f"all workers lost ({batch.last_error})")
-            for idx in leftovers:
-                outcome = self._execute_with_retry(
-                    specs[idx],
-                    attempts_used=batch.attempts[idx],
-                    engine_name=f"{self.name}→serial",
-                    emit_start=False,
-                )
-                batch.outcomes[idx] = outcome
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        assert all(o is not None for o in batch.outcomes)
-        return batch.outcomes  # type: ignore[return-value]
-
-    def _run_with_admission(self, batch: _Batch, threads, spawn) -> None:
+    def _run_with_admission(self, ledger: Ledger, threads, spawn, last_error) -> None:
         """Poll the membership source while the batch runs, admitting late
         joiners mid-sweep.
 
@@ -310,7 +219,7 @@ class RemoteEngine(ExecutionEngine):
         a dead-but-still-advertised address would only livelock.  The
         batch ends when every outcome is in, or when no dispatcher has
         been alive for ``fleet_wait_s`` (empty or fully dead fleet) — the
-        caller then degrades the leftovers to serial, loudly.
+        ledger then degrades the leftovers to serial, loudly.
         """
         idle_since: float | None = None
         while True:
@@ -318,9 +227,7 @@ class RemoteEngine(ExecutionEngine):
                 if format_address(address) not in threads:
                     METRICS.counter("dist.workers_admitted").inc()
                     spawn(address)
-            with batch.lock:
-                done = all(o is not None for o in batch.outcomes)
-            if done:
+            if ledger.done:
                 break
             if any(t.is_alive() for t in threads.values()):
                 idle_since = None
@@ -330,9 +237,7 @@ class RemoteEngine(ExecutionEngine):
                     idle_since = now
                 elif now - idle_since >= self.fleet_wait_s:
                     if not threads:
-                        batch.last_error = (
-                            f"no workers discovered within {self.fleet_wait_s:.0f}s"
-                        )
+                        last_error[0] = f"no workers discovered within {self.fleet_wait_s:.0f}s"
                     break
             time.sleep(self.fleet_poll_s)
         for thread in threads.values():
@@ -341,71 +246,64 @@ class RemoteEngine(ExecutionEngine):
     # -- per-worker dispatcher -----------------------------------------
 
     def _dispatch_loop(
-        self,
-        address: tuple[str, int],
-        batch: _Batch,
-        grid_digest: str,
-        on_outcome: OnOutcome | None,
+        self, address: tuple[str, int], ledger: Ledger, grid_digest: str, last_error: list
     ) -> None:
+        """Attempt claimed units on one worker until the batch drains or
+        the worker is lost.
+
+        Attempt accounting: a failure *before* a unit is shipped
+        (connect/handshake) consumes nothing — the unit is released for
+        the rest of the fleet and the worker marked lost.  A failure
+        *after* shipping consumes the attempt (the coordinator cannot
+        know how far the worker got; reruns are safe by determinism),
+        and a reachability probe decides between reconnecting and lost.
+        A worker that cannot batch gets multi-lane units split back into
+        single jobs.
+        """
         plan = get_fault_plan()
         link: _Link | None = None
         try:
-            while True:
-                unit = batch.claim()
-                if unit is None:
-                    return
-                if len(unit) > 1:
-                    verdict = self._dispatch_batch_unit(
-                        address, link, batch, unit, grid_digest, on_outcome
-                    )
-                    if verdict is _LOST:
-                        link = None
-                        return
-                    link = verdict
-                    continue
-                idx = unit[0]
-                spec = batch.specs[idx]
-                attempt = batch.attempts[idx] + 1
-                verdict = self._apply_net_faults(batch, idx, attempt, plan, on_outcome)
-                if verdict == "conn-drop":
-                    if link is not None:
-                        link.close()
-                        link = None
-                    continue
-                if verdict == "partition":
-                    continue
+            while (unit := ledger.claim()) is not None:
+                if plan is not None and len(unit) == 1:
+                    verdict = self._apply_net_faults(ledger, unit, plan)
+                    if verdict == "conn-drop":
+                        if link is not None:
+                            link.close()
+                            link = None
+                        continue
+                    if verdict == "partition":
+                        continue
                 if link is None:
                     try:
                         link = self._connect(address, grid_digest, plan)
                     except (OSError, ProtocolError) as exc:
-                        # Nothing was shipped: the job keeps its attempt
-                        # budget and goes back for the rest of the fleet.
-                        batch.last_error = f"{format_address(address)}: {exc}"
-                        batch.release((idx,), requeue=True)
-                        self.registry.note_lost(address, str(exc), requeued=1)
+                        last_error[0] = f"{format_address(address)}: {exc}"
+                        ledger.release(unit)
+                        self.registry.note_lost(address, str(exc), requeued=len(unit))
                         return
+                if len(unit) > 1 and "batch" not in link.caps:
+                    METRICS.counter("dist.batch_unsupported").inc()
+                    ledger.release(unit, split=True)
+                    continue
                 try:
-                    self._ship(link, spec, attempt, grid_digest)
-                    outcome = self._await_outcome(link, spec)
+                    frame = self._exchange(link, ledger, unit, grid_digest)
                 except (OSError, ProtocolError) as exc:
-                    # The link died under this job: the attempt is consumed
-                    # (we cannot know how far the worker got; reruns are
-                    # safe by determinism), and we try one fresh link.
                     error = f"worker {format_address(address)} lost: {exc}"
                     link.close()
                     link = None
-                    self._attempt_failed(batch, idx, attempt, error, on_outcome, plan)
+                    ledger.fail(unit, error)
                     if not self._reachable(address):
-                        batch.last_error = error
-                        self.registry.note_lost(address, str(exc), requeued=1)
+                        last_error[0] = error
+                        self.registry.note_lost(address, str(exc), requeued=len(unit))
                         return
                     continue
-                if outcome.get("ok"):
-                    self._record_success(batch, idx, attempt, outcome, on_outcome, plan)
-                else:
-                    self._attempt_failed(
-                        batch, idx, attempt, str(outcome.get("error")), on_outcome, plan
-                    )
+                if not frame.get("ok"):
+                    ledger.fail(unit, str(frame.get("error")))
+                    continue
+                results, published = _decode_lanes(frame, batched=len(unit) > 1)
+                ledger.succeed(
+                    unit, results, float(frame.get("duration_s", 0.0)), published=published
+                )
         finally:
             if link is not None:
                 try:
@@ -413,139 +311,6 @@ class RemoteEngine(ExecutionEngine):
                 except OSError:
                     pass
                 link.close()
-
-    def _dispatch_batch_unit(
-        self,
-        address: tuple[str, int],
-        link: _Link | None,
-        batch: _Batch,
-        unit: tuple[int, ...],
-        grid_digest: str,
-        on_outcome: OnOutcome | None,
-    ):
-        """Ship one multi-lane unit; returns the (possibly new) link, or
-        :data:`_LOST` when the worker is unreachable and the dispatcher
-        must exit.
-
-        Failure never retries the *unit*: an incapable worker, a failed
-        batch attempt, or a dead link all decompose the unit into
-        singles, which re-enter the queue with their attempt budgets
-        intact and take the fleet's ordinary per-job path.  Fault plans
-        never coexist with batching (the planner gates on them), so no
-        net/job faults fire here.
-        """
-        if link is None:
-            try:
-                link = self._connect(address, grid_digest, None)
-            except (OSError, ProtocolError) as exc:
-                batch.last_error = f"{format_address(address)}: {exc}"
-                batch.release(unit, requeue=True)
-                self.registry.note_lost(address, str(exc), requeued=len(unit))
-                return _LOST
-        if "batch" not in link.caps:
-            METRICS.counter("dist.batch_unsupported").inc()
-            batch.decompose(unit)
-            return link
-        specs = [batch.specs[i] for i in unit]
-        try:
-            self._ship_batch(link, specs, grid_digest)
-            frame = self._await_batch_outcome(link, specs)
-        except (OSError, ProtocolError) as exc:
-            METRICS.counter("batch.failed").inc()
-            error = f"worker {format_address(address)} lost: {exc}"
-            link.close()
-            batch.decompose(unit)
-            if not self._reachable(address):
-                batch.last_error = error
-                self.registry.note_lost(address, str(exc), requeued=len(unit))
-                return _LOST
-            return None
-        if frame.get("ok"):
-            self._record_batch_success(batch, unit, frame, on_outcome)
-        else:
-            METRICS.counter("batch.failed").inc()
-            batch.decompose(unit)
-        return link
-
-    def _ship_batch(
-        self, link: _Link, specs: list[JobSpec], grid_digest: str
-    ) -> None:
-        METRICS.counter("dist.jobs_shipped").inc(len(specs))
-        METRICS.counter("dist.batches_shipped").inc()
-        frame = {
-            "type": "batch",
-            "grid_digest": grid_digest,
-            "digest": codec.batch_digest(specs),
-            "jobs": [codec.encode_spec(spec) for spec in specs],
-        }
-        if self.publish_results and "store-publish" in link.caps:
-            frame["publish"] = True
-        send_frame(link.sock, frame)
-
-    def _await_batch_outcome(self, link: _Link, specs: list[JobSpec]) -> dict:
-        """Read frames until this unit's ``batch_outcome``, answering
-        ``prep_fetch`` requests inline (same as :meth:`_await_outcome`)."""
-        expect = codec.batch_digest(specs)
-        label = f"batch[{specs[0].label}+{len(specs) - 1}]"
-        while True:
-            frame = recv_frame(link.sock)
-            if frame is None:
-                raise ProtocolError(f"worker closed while running {label}")
-            if frame["type"] == "prep_fetch":
-                self._serve_prep_fetch(link, frame)
-                continue
-            if frame["type"] == "error":
-                raise ProtocolError(str(frame.get("error")))
-            if frame["type"] != "batch_outcome":
-                raise ProtocolError(
-                    f"unexpected frame {frame['type']!r} awaiting batch outcome"
-                )
-            if frame.get("digest") != expect:
-                raise ProtocolError(
-                    f"batch outcome digest {frame.get('digest')!r} does not answer {label}"
-                )
-            return frame
-
-    def _record_batch_success(
-        self,
-        batch: _Batch,
-        unit: tuple[int, ...],
-        frame: dict,
-        on_outcome: OnOutcome | None,
-    ) -> None:
-        from repro.core.records import RunResult
-
-        results = frame.get("results") or []
-        if len(results) != len(unit):
-            METRICS.counter("batch.failed").inc()
-            batch.decompose(unit)
-            return
-        per_cell = float(frame.get("duration_s", 0.0)) / len(unit)
-        with batch.lock:
-            for idx, payload in zip(unit, results):
-                spec = batch.specs[idx]
-                batch.attempts[idx] += 1
-                # A lane the worker filed store-side carries only its
-                # summary, as in _record_success.
-                published = bool(payload.get("published")) and (
-                    payload.get("total_cycles") is not None
-                )
-                outcome = JobOutcome(
-                    spec=spec,
-                    result=None if published else RunResult.from_dict(payload),
-                    published_cycles=payload["total_cycles"] if published else None,
-                    attempts=batch.attempts[idx],
-                    duration_s=per_cell,
-                    engine=self.name,
-                )
-                if published:
-                    METRICS.counter("dist.results_published").inc()
-                batch.outcomes[idx] = outcome
-                METRICS.timer("exec.job").observe(per_cell)
-                METRICS.counter("exec.jobs_ok").inc()
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        batch.release(unit, requeue=False)
 
     def _connect(
         self, address: tuple[str, int], grid_digest: str, plan
@@ -579,42 +344,58 @@ class RemoteEngine(ExecutionEngine):
         except OSError:
             return False
 
-    def _ship(self, link: _Link, spec: JobSpec, attempt: int, grid_digest: str) -> None:
-        METRICS.counter("dist.jobs_shipped").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                JobShippedEvent(label=spec.label, worker=link.worker_id, attempt=attempt)
-            )
-        frame = {
-            "type": "job",
-            "grid_digest": grid_digest,
-            "attempt": attempt,
-            **codec.encode_spec(spec),
-        }
+    def _exchange(
+        self, link: _Link, ledger: Ledger, unit: tuple[int, ...], grid_digest: str
+    ) -> dict:
+        """Ship ``unit`` (a ``job`` frame, or a ``batch`` frame for a
+        multi-lane unit) and read frames until its answer, serving
+        ``prep_fetch`` requests inline from the coordinator's prep store."""
+        specs = [ledger.specs[i] for i in unit]
+        METRICS.counter("dist.jobs_shipped").inc(len(specs))
+        if len(unit) == 1:
+            spec = specs[0]
+            attempt = ledger.next_attempt(unit)
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.emit(
+                    JobShippedEvent(label=spec.label, worker=link.worker_id, attempt=attempt)
+                )
+            frame = {
+                "type": "job",
+                "grid_digest": grid_digest,
+                "attempt": attempt,
+                **codec.encode_spec(spec),
+            }
+            answer, digest, label = "outcome", spec.digest, spec.label
+        else:
+            METRICS.counter("dist.batches_shipped").inc()
+            frame = {
+                "type": "batch",
+                "grid_digest": grid_digest,
+                "digest": codec.batch_digest(specs),
+                "jobs": [codec.encode_spec(spec) for spec in specs],
+            }
+            answer, digest = "batch_outcome", frame["digest"]
+            label = f"batch[{specs[0].label}+{len(specs) - 1}]"
         if self.publish_results and "store-publish" in link.caps:
             frame["publish"] = True
         send_frame(link.sock, frame)
-
-    def _await_outcome(self, link: _Link, spec: JobSpec) -> dict:
-        """Read frames until this job's outcome, answering ``prep_fetch``
-        requests inline from the coordinator's prep store."""
         while True:
-            frame = recv_frame(link.sock)
-            if frame is None:
-                raise ProtocolError(f"worker closed while running {spec.label}")
-            if frame["type"] == "prep_fetch":
-                self._serve_prep_fetch(link, frame)
+            reply = recv_frame(link.sock)
+            if reply is None:
+                raise ProtocolError(f"worker closed while running {label}")
+            if reply["type"] == "prep_fetch":
+                self._serve_prep_fetch(link, reply)
                 continue
-            if frame["type"] == "error":
-                raise ProtocolError(str(frame.get("error")))
-            if frame["type"] != "outcome":
-                raise ProtocolError(f"unexpected frame {frame['type']!r} awaiting outcome")
-            if frame.get("digest") != spec.digest:
+            if reply["type"] == "error":
+                raise ProtocolError(str(reply.get("error")))
+            if reply["type"] != answer:
+                raise ProtocolError(f"unexpected frame {reply['type']!r} awaiting {answer}")
+            if reply.get("digest") != digest:
                 raise ProtocolError(
-                    f"outcome digest {frame.get('digest')!r} does not answer {spec.label}"
+                    f"{answer} digest {reply.get('digest')!r} does not answer {label}"
                 )
-            return frame
+            return reply
 
     def _serve_prep_fetch(self, link: _Link, frame: dict) -> None:
         from repro.prep import get_prep_store
@@ -636,10 +417,8 @@ class RemoteEngine(ExecutionEngine):
 
     # -- fault hooks ----------------------------------------------------
 
-    def _apply_net_faults(
-        self, batch: _Batch, idx: int, attempt: int, plan, on_outcome: OnOutcome | None
-    ) -> str:
-        """Coordinator-side network faults for ``(job, attempt)``.
+    def _apply_net_faults(self, ledger: Ledger, unit: tuple[int, ...], plan) -> str:
+        """Coordinator-side network faults for the job's next attempt.
 
         Returns ``"ok"``, or the fault kind that consumed the attempt on
         the wire itself: ``"partition"`` ate the frame, ``"conn-drop"``
@@ -648,150 +427,16 @@ class RemoteEngine(ExecutionEngine):
         by the worker; nothing to do here (the link death comes back as
         an ``OSError``/EOF and takes the lost-worker path).
         """
-        if plan is None:
-            return "ok"
-        spec = batch.specs[idx]
-        for rule in plan.planned_net_faults(spec.label, attempt):
+        label = ledger.specs[unit[0]].label
+        attempt = ledger.next_attempt(unit)
+        for rule in plan.planned_net_faults(label, attempt):
             if rule.kind == "slow-link":
-                announce_faults((rule,), spec.label, attempt)
+                announce_faults((rule,), label, attempt)
                 time.sleep(rule.delay_s)
             elif rule.kind in ("partition", "conn-drop"):
-                announce_faults((rule,), spec.label, attempt)
-                error = f"injected {rule.kind} for {spec.label} (attempt {attempt})"
-                self._attempt_failed(
-                    batch, idx, attempt, error, on_outcome, plan, announce_job=False
-                )
+                announce_faults((rule,), label, attempt)
+                # The job never ran, so its job faults did not fire.
+                error = f"injected {rule.kind} for {label} (attempt {attempt})"
+                ledger.fail(unit, error, announce=False)
                 return rule.kind
         return "ok"
-
-    def _announce_job_faults(self, plan, spec: JobSpec, attempt: int) -> None:
-        """The worker executed this attempt's job faults silently
-        (announce=False); the coordinator announces them — identical to
-        the pool parent's announce-at-submission discipline."""
-        if plan is None:
-            return
-        rules = plan.planned_job_faults(spec.label, attempt)
-        if rules:
-            announce_faults(rules, spec.label, attempt)
-
-    # -- outcome accounting ---------------------------------------------
-
-    def _record_success(
-        self,
-        batch: _Batch,
-        idx: int,
-        attempt: int,
-        frame: dict,
-        on_outcome: OnOutcome | None,
-        plan,
-    ) -> None:
-        spec = batch.specs[idx]
-        if frame.get("published") and frame.get("total_cycles") is not None:
-            # The worker filed the result in the shared store itself; the
-            # frame carries only the summary the journal needs.  The
-            # digest was already matched in _await_outcome.
-            outcome = JobOutcome(
-                spec=spec,
-                published_cycles=frame["total_cycles"],
-                attempts=attempt,
-                duration_s=float(frame.get("duration_s", 0.0)),
-                engine=self.name,
-            )
-            METRICS.counter("dist.results_published").inc()
-        else:
-            outcome = codec.decode_outcome(
-                {**frame, "attempts": attempt, "engine": self.name}, spec
-            )
-        with batch.lock:
-            batch.attempts[idx] = attempt
-            self._announce_job_faults(plan, spec, attempt)
-            batch.outcomes[idx] = outcome
-            METRICS.timer("exec.job").observe(outcome.duration_s)
-            METRICS.counter("exec.jobs_ok").inc()
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.emit(
-                    JobEndEvent(
-                        label=spec.label,
-                        app=spec.app,
-                        policy=spec.policy,
-                        engine=self.name,
-                        ok=True,
-                        attempts=attempt,
-                        duration_s=outcome.duration_s,
-                    )
-                )
-            if on_outcome is not None:
-                # Serialised under the batch lock: journal appends and
-                # store puts see one caller at a time, whatever the
-                # fleet's completion order.
-                on_outcome(outcome)
-        batch.release((idx,), requeue=False)
-
-    def _attempt_failed(
-        self,
-        batch: _Batch,
-        idx: int,
-        attempt: int,
-        error: str,
-        on_outcome: OnOutcome | None,
-        plan,
-        *,
-        announce_job: bool = True,
-    ) -> None:
-        spec = batch.specs[idx]
-        final = attempt >= self.max_attempts
-        with batch.lock:
-            batch.attempts[idx] = attempt
-            if announce_job:
-                self._announce_job_faults(plan, spec, attempt)
-            METRICS.counter("exec.retries").inc()
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.emit(
-                    RetryEvent(label=spec.label, engine=self.name, attempt=attempt, error=error)
-                )
-            if final:
-                outcome = JobOutcome(
-                    spec=spec, error=error, attempts=attempt, engine=self.name
-                )
-                batch.outcomes[idx] = outcome
-                METRICS.counter("exec.jobs_failed").inc()
-                if tracer.enabled:
-                    tracer.emit(
-                        JobEndEvent(
-                            label=spec.label,
-                            app=spec.app,
-                            policy=spec.policy,
-                            engine=self.name,
-                            ok=False,
-                            attempts=attempt,
-                            duration_s=0.0,
-                            error=error,
-                        )
-                    )
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        batch.release((idx,), requeue=not final)
-        if not final:
-            self._threadsafe_backoff(attempt)
-
-    def _threadsafe_backoff(self, failed_rounds: int) -> None:
-        """The base class's jittered/capped/budgeted backoff, with the
-        budget accounting made safe for concurrent dispatchers (the
-        sleep itself happens outside the lock)."""
-        if self.backoff_s <= 0:
-            return
-        import random
-
-        with self._backoff_budget_lock:
-            if self._backoff_left <= 0:
-                return
-            nominal = min(
-                self.backoff_s * (2 ** (failed_rounds - 1)),
-                self.backoff_cap_s,
-                self._backoff_left,
-            )
-            delay = nominal * (0.5 + 0.5 * random.random())
-            self._backoff_left -= delay
-        time.sleep(delay)

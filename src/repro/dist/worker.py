@@ -16,9 +16,8 @@ one connection at a time each (connections are independent threads, so a
    otherwise idle while the job runs, so the interleave is trivially
    ordered.
 
-Fault injection: job-scoped faults fire here with ``announce=False``
-(the coordinator announces them, same as the pool parent does for its
-workers).  ``worker-vanish`` is the one network fault executed
+Fault injection: job-scoped faults fire here silently (the
+coordinator's dispatch ledger announces them, as for every engine).  ``worker-vanish`` is the one network fault executed
 worker-side: with ``exit_on_vanish`` (the real ``repro worker`` CLI) the
 process dies with ``os._exit(3)``; in-process test workers emulate the
 vanish by dropping their sockets instead — same wire-visible effect,
@@ -277,7 +276,7 @@ class WorkerServer:
             try:
                 if plan is not None:
                     # The coordinator announces; the worker only executes.
-                    fire_job_faults(spec.label, attempt, announce=False)
+                    fire_job_faults(spec.label, attempt)
                 result = self.job_runner(spec)
             except Exception as exc:  # noqa: BLE001 — a job failure is data
                 payload = {

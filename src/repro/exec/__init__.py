@@ -6,13 +6,15 @@ that makes those replays cheap:
 
 * :class:`JobSpec` / :class:`JobOutcome` — the unit of work and its
   recorded outcome (result or error, attempts, duration).
-* :class:`ExecutionEngine` — how jobs run: :class:`SerialEngine`
-  (in-process), :class:`ProcessPoolEngine` (multiprocessing fan-out
-  with chunked submission, per-job timeouts, bounded retry with backoff
-  and graceful degradation to serial when a pool worker dies) or
+* :class:`ExecutionEngine` — how jobs run: one driver and one
+  :class:`~repro.exec.dispatch.Ledger` (attempts, bounded retry with
+  backoff, outcome recording, loud degradation to serial) under three
+  transports: :class:`SerialEngine` (in-process), :class:`ProcessPoolEngine`
+  (warm multiprocessing pool with per-job timeouts) and
   :class:`~repro.dist.engine.RemoteEngine` (TCP worker fleet; lives in
-  :mod:`repro.dist`).  All three share one :class:`EngineOptions`
-  retry/backoff configuration.
+  :mod:`repro.dist`).  :func:`build_engine` is the one selection rule
+  every entry surface uses; :class:`EngineOptions` the one retry/backoff
+  configuration.
 * :class:`ResultStore` — a content-addressed cache of
   :class:`~repro.core.records.RunResult` that persists across harness
   invocations (key = SHA-256 of the job's canonical JSON, atomic
@@ -37,7 +39,15 @@ injection, and §G for distributed execution.
 """
 
 from repro.exec.backend import LocalDirBackend, MemoryBackend, StoreBackend
-from repro.exec.engine import EngineOptions, ExecutionEngine, SerialEngine, execute_job
+from repro.exec.engine import (
+    ENGINE_KINDS,
+    EngineOptions,
+    ExecutionEngine,
+    SerialEngine,
+    build_engine,
+    engine_kind,
+    execute_job,
+)
 from repro.exec.faults import (
     NET_FAULT_KINDS,
     FaultPlan,
@@ -55,6 +65,7 @@ from repro.exec.sweep import SweepResult, expand_grid, grid_key, run_sweep
 
 __all__ = [
     "DEFAULT_POLICIES",
+    "ENGINE_KINDS",
     "EngineOptions",
     "ExecutionEngine",
     "FaultPlan",
@@ -76,6 +87,8 @@ __all__ = [
     "SweepGrid",
     "SweepJournal",
     "SweepResult",
+    "build_engine",
+    "engine_kind",
     "execute_job",
     "expand_grid",
     "get_fault_plan",

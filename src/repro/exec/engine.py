@@ -1,10 +1,19 @@
-"""Execution engines: the ABC, the serial engine, and the shared retry loop.
+"""Execution engines: the one dispatch driver, the serial transport, and
+engine selection.
 
 An engine turns a batch of :class:`~repro.exec.jobs.JobSpec` into a batch
 of :class:`~repro.exec.jobs.JobOutcome`, preserving order.  Engines never
 raise for a failing *job* — a job that exhausts its retry budget comes back
 as an outcome with ``error`` set, so one bad run cannot lose the results of
 the rest of a sweep.
+
+:meth:`ExecutionEngine.run` is the only driver: it plans the batch into
+units and runs them through one :class:`~repro.exec.dispatch.Ledger`,
+which owns attempts, retries, outcome recording and degradation.
+Subclasses are *transports* — they only say how a claimed unit is
+attempted: :class:`SerialEngine` calls it inline (the default here),
+:class:`~repro.exec.pool.ProcessPoolEngine` submits it to a warm process
+pool, :class:`~repro.dist.engine.RemoteEngine` ships it to a worker.
 
 The actual simulation is performed by a *job runner* callable
 (:func:`execute_job` by default); tests inject failing or sleeping runners
@@ -16,21 +25,26 @@ it to workers.
 from __future__ import annotations
 
 import dataclasses
-import random
-import sys
 import time
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.core.records import RunResult
+from repro.exec.dispatch import Ledger
 from repro.exec.faults import fire_job_faults, get_fault_plan
 from repro.exec.jobs import JobOutcome, JobSpec
-from repro.obs.events import EngineDegradedEvent, JobEndEvent, JobStartEvent, RetryEvent
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import get_tracer
 
-__all__ = ["EngineOptions", "ExecutionEngine", "SerialEngine", "execute_job"]
+__all__ = [
+    "ENGINE_KINDS",
+    "EngineOptions",
+    "ExecutionEngine",
+    "SerialEngine",
+    "build_engine",
+    "engine_kind",
+    "execute_job",
+    "run_unit",
+]
 
 OnOutcome = Callable[[JobOutcome], None]
 
@@ -89,7 +103,33 @@ def execute_job(spec: JobSpec) -> RunResult:
     return run_application(spec.app, spec.policy, spec.config)
 
 
-class ExecutionEngine(ABC):
+def run_unit(
+    job_runner: Callable[[JobSpec], RunResult], specs: list[JobSpec], attempt: int
+) -> tuple[list[RunResult], float]:
+    """One attempt at one unit, wherever it runs (inline or in a pool
+    worker): ``(results in spec order, seconds of work)``.
+
+    A multi-lane unit replays every lane in one batched pass (fault plans
+    never coexist with batching, so there is nothing to fire).  A single
+    job first carries out the job faults the plan selects for
+    ``(label, attempt)`` — silently: the ledger announces them when it
+    counts the attempt, so an attempt made in a worker process is
+    announced exactly like one made inline.
+    """
+    if len(specs) > 1:
+        from repro.exec import batch
+
+        start = time.perf_counter()
+        results = batch.execute_batch(specs)
+    else:
+        if get_fault_plan() is not None:
+            fire_job_faults(specs[0].label, attempt)
+        start = time.perf_counter()
+        results = [job_runner(specs[0])]
+    return results, time.perf_counter() - start
+
+
+class ExecutionEngine:
     """Runs batches of jobs; subclasses choose *where* the work happens.
 
     Parameters
@@ -135,44 +175,10 @@ class ExecutionEngine(ABC):
             opts = opts.replace(**overrides)
         self.options = opts
         self.job_runner = job_runner or execute_job
-        self._backoff_left = opts.backoff_budget_s
         # Every degradation to serial, in order — surfaced by the CLI's
         # -v line and asserted on by tests; never reset implicitly.
         self.degraded_reasons: list[str] = []
 
-    # The knobs stay readable as plain attributes — long-standing API for
-    # tests and callers that predate EngineOptions.
-    @property
-    def max_retries(self) -> int:
-        return self.options.max_retries
-
-    @property
-    def backoff_s(self) -> float:
-        return self.options.backoff_s
-
-    @property
-    def backoff_cap_s(self) -> float:
-        return self.options.backoff_cap_s
-
-    @property
-    def backoff_budget_s(self) -> float:
-        return self.options.backoff_budget_s
-
-    @property
-    def max_attempts(self) -> int:
-        return self.options.max_attempts
-
-    def _note_degraded(self, reason: str) -> None:
-        """A degradation to serial is a loud warning, never silent: count
-        it, trace it, and keep the cause for ``-v`` reporting."""
-        self.degraded_reasons.append(reason)
-        METRICS.counter("exec.degraded_to_serial").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit(EngineDegradedEvent(engine=self.name, reason=reason))
-        print(f"warning: {self.name} degraded to serial: {reason}", file=sys.stderr)
-
-    @abstractmethod
     def run(
         self, specs: Sequence[JobSpec], *, on_outcome: OnOutcome | None = None
     ) -> list[JobOutcome]:
@@ -182,112 +188,38 @@ class ExecutionEngine(ABC):
         finalised* (success, or failure after the last retry) — the hook
         crash-safe consumers (the sweep journal, incremental store
         writes) use to persist completed work before the batch ends.
-        Callback order is completion order, not input order.
+        Callback order is completion order, not input order.  Jobs the
+        transport leaves unfinished complete in-process, loudly.
         """
+        specs = list(specs)
+        if not specs:
+            return []
+        ledger = Ledger(self, specs, self._plan_units(specs), on_outcome)
+        self._dispatch(ledger)
+        if ledger.degrade():
+            self._run_inline(ledger)
+        assert all(o is not None for o in ledger.outcomes)
+        return ledger.outcomes  # type: ignore[return-value]
 
     def run_one(self, spec: JobSpec) -> JobOutcome:
         return self.run([spec])[0]
 
-    def _reset_backoff(self) -> None:
-        """Refill the backoff budget; called at the start of each batch."""
-        self._backoff_left = self.backoff_budget_s
+    def _dispatch(self, ledger: Ledger) -> None:
+        """The transport: attempt every unit the ledger hands out.  The
+        default runs them inline; subclasses send them elsewhere."""
+        self._run_inline(ledger)
 
-    def _backoff_sleep(self, failed_rounds: int) -> float:
-        """Jittered, capped exponential backoff; returns seconds slept.
-
-        The nominal delay doubles per failed round but is clamped to
-        ``backoff_cap_s`` per sleep and to the batch's remaining
-        ``backoff_budget_s`` overall, then scaled by a uniform jitter in
-        [0.5, 1.0] — so one flaky job can delay a sweep by at most the
-        budget, and never serialises concurrent retriers on a beat.
-        """
-        if self.backoff_s <= 0 or self._backoff_left <= 0:
-            return 0.0
-        nominal = min(
-            self.backoff_s * (2 ** (failed_rounds - 1)),
-            self.backoff_cap_s,
-            self._backoff_left,
-        )
-        delay = nominal * (0.5 + 0.5 * random.random())
-        self._backoff_left -= delay
-        time.sleep(delay)
-        return delay
-
-    def _execute_with_retry(
-        self,
-        spec: JobSpec,
-        *,
-        attempts_used: int = 0,
-        engine_name: str | None = None,
-        emit_start: bool = True,
-    ) -> JobOutcome:
-        """In-process attempt loop shared by the serial engine and by pool
-        engines degrading to serial: ``attempts_used`` carries over attempts
-        a job already consumed elsewhere (e.g. in a broken pool), in which
-        case the pool already announced the job and ``emit_start`` is False.
-        """
-        name = engine_name if engine_name is not None else self.name
-        tracer = get_tracer()
-        if tracer.enabled and emit_start:
-            tracer.emit(
-                JobStartEvent(label=spec.label, app=spec.app, policy=spec.policy, engine=name)
-            )
-        attempts = attempts_used
-        error = "no attempts made"
-        while attempts < max(self.max_attempts, attempts_used + 1):
-            if attempts > attempts_used:
-                self._backoff_sleep(attempts - attempts_used)
-            attempts += 1
-            start = time.perf_counter()
+    def _run_inline(self, ledger: Ledger) -> None:
+        """The serial transport — also every engine's degraded path: each
+        claimed unit runs in this process, on this thread."""
+        while (unit := ledger.claim(wait=False)) is not None:
+            specs = [ledger.specs[i] for i in unit]
             try:
-                if get_fault_plan() is not None:
-                    fire_job_faults(spec.label, attempts)
-                result = self.job_runner(spec)
+                results, duration = run_unit(self.job_runner, specs, ledger.next_attempt(unit))
             except Exception as exc:  # noqa: BLE001 — a job failure is data
-                error = f"{type(exc).__name__}: {exc}"
-                METRICS.counter("exec.retries").inc()
-                if tracer.enabled:
-                    tracer.emit(
-                        RetryEvent(label=spec.label, engine=name, attempt=attempts, error=error)
-                    )
-                continue
-            duration = time.perf_counter() - start
-            METRICS.timer("exec.job").observe(duration)
-            METRICS.counter("exec.jobs_ok").inc()
-            if tracer.enabled:
-                tracer.emit(
-                    JobEndEvent(
-                        label=spec.label,
-                        app=spec.app,
-                        policy=spec.policy,
-                        engine=name,
-                        ok=True,
-                        attempts=attempts,
-                        duration_s=duration,
-                    )
-                )
-            return JobOutcome(
-                spec=spec,
-                result=result,
-                attempts=attempts,
-                duration_s=duration,
-                engine=name,
-            )
-        METRICS.counter("exec.jobs_failed").inc()
-        if tracer.enabled:
-            tracer.emit(
-                JobEndEvent(
-                    label=spec.label,
-                    app=spec.app,
-                    policy=spec.policy,
-                    engine=name,
-                    ok=False,
-                    attempts=attempts,
-                    duration_s=0.0,
-                    error=error,
-                )
-            )
-        return JobOutcome(spec=spec, error=error, attempts=attempts, engine=name)
+                ledger.fail(unit, f"{type(exc).__name__}: {exc}")
+            else:
+                ledger.succeed(unit, results, duration)
 
     # -- batched execution (repro.exec.batch) ---------------------------
 
@@ -310,57 +242,10 @@ class ExecutionEngine(ABC):
 
         return plan_units(specs)
 
-    def _run_batch_inline(
-        self, specs: list[JobSpec], *, engine_name: str | None = None
-    ) -> list[JobOutcome]:
-        """One in-process attempt at a whole batch unit.
-
-        A failing batch is decomposed, not retried as a batch: every cell
-        re-enters the per-job retry path with its full attempt budget, so
-        batching can never cost a cell its retries.  Wall clock is
-        attributed evenly across lanes (lanes run back-to-back over
-        shared state; finer attribution would charge the shared prep to
-        whichever lane went first).
-        """
-        from repro.exec.batch import execute_batch
-
-        name = engine_name if engine_name is not None else self.name
-        start = time.perf_counter()
-        try:
-            results = execute_batch(specs)
-        except Exception as exc:  # noqa: BLE001 — decompose, don't fail cells
-            METRICS.counter("batch.failed").inc()
-            METRICS.counter("exec.retries").inc()
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.emit(
-                    RetryEvent(
-                        label=f"batch[{specs[0].label}+{len(specs) - 1}]",
-                        engine=name,
-                        attempt=1,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            return [self._execute_with_retry(spec, engine_name=name) for spec in specs]
-        per_cell = (time.perf_counter() - start) / len(specs)
-        outcomes = []
-        for spec, result in zip(specs, results):
-            METRICS.timer("exec.job").observe(per_cell)
-            METRICS.counter("exec.jobs_ok").inc()
-            outcomes.append(
-                JobOutcome(
-                    spec=spec,
-                    result=result,
-                    attempts=1,
-                    duration_s=per_cell,
-                    engine=name,
-                )
-            )
-        return outcomes
-
 
 class SerialEngine(ExecutionEngine):
-    """Runs every job in the calling process, one after another.
+    """Runs every job in the calling process, one after another, on the
+    calling thread.
 
     This is the default engine: zero overhead, exactly the behaviour the
     harness had before the execution layer existed — plus retries.  Cells
@@ -370,20 +255,52 @@ class SerialEngine(ExecutionEngine):
 
     name = "serial"
 
-    def run(
-        self, specs: Sequence[JobSpec], *, on_outcome: OnOutcome | None = None
-    ) -> list[JobOutcome]:
-        self._reset_backoff()
-        specs = list(specs)
-        outcomes: list[JobOutcome | None] = [None] * len(specs)
-        for unit in self._plan_units(specs):
-            if len(unit) == 1:
-                unit_outcomes = [self._execute_with_retry(specs[unit[0]])]
-            else:
-                unit_outcomes = self._run_batch_inline([specs[i] for i in unit])
-            for idx, outcome in zip(unit, unit_outcomes):
-                outcomes[idx] = outcome
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        assert all(o is not None for o in outcomes)
-        return outcomes  # type: ignore[return-value]
+
+#: Engine kinds every entry surface (CLI flags, spec files, serve
+#: settings) selects between.
+ENGINE_KINDS = ("serial", "pool", "remote")
+
+
+def engine_kind(kind: str | None, *, jobs: int = 1, remote: bool = False) -> str:
+    """The one engine-selection rule: an explicit ``kind`` wins; else
+    remote when workers (or a discovery source) are given, a process pool
+    when ``jobs > 1``, serial otherwise."""
+    if kind is not None:
+        return kind
+    return "remote" if remote else "pool" if jobs > 1 else "serial"
+
+
+def build_engine(
+    kind: str | None = None,
+    *,
+    jobs: int = 1,
+    workers: Sequence = (),
+    membership=None,
+    options: EngineOptions | None = None,
+    publish_results: bool = False,
+) -> ExecutionEngine:
+    """Construct the engine :func:`engine_kind` selects.
+
+    ``workers`` are ``host:port`` addresses and ``membership`` a discovery
+    source (see :class:`~repro.dist.engine.RemoteEngine`); either makes
+    the default kind remote.  Raises :class:`ValueError` when the remote
+    engine is asked for with nothing to dispatch to.
+    """
+    workers = tuple(workers or ())
+    kind = engine_kind(kind, jobs=jobs, remote=bool(workers) or membership is not None)
+    if kind == "remote":
+        if not workers and membership is None:
+            raise ValueError(
+                "the remote engine requires --workers HOST:PORT[,...] "
+                "(or a fleet registrar / registry dir to discover them)"
+            )
+        from repro.dist.engine import RemoteEngine
+
+        return RemoteEngine(
+            workers, membership=membership, publish_results=publish_results, options=options
+        )
+    if kind == "pool":
+        from repro.exec.pool import ProcessPoolEngine
+
+        return ProcessPoolEngine(jobs, options=options)
+    return SerialEngine(options=options)

@@ -50,10 +50,10 @@ Zero overhead when disabled: the process-wide plan slot defaults to
 ``None`` and every hook site guards with one ``is None`` check before
 doing any work.  Pool engines ship the active plan to their workers
 through the pool initializer (it is a frozen, picklable dataclass), and
-— because decisions are deterministic — the *parent* announces each
-planned job fault as an obs event/counter at submission time, so
-injections stay visible even when they fire in a worker process whose
-tracer and metrics the parent cannot see.
+— because decisions are deterministic — the coordinator's dispatch
+ledger announces each planned job fault as an obs event/counter when it
+counts the attempt, so injections stay visible even when they fire in a
+worker process whose tracer and metrics the coordinator cannot see.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ class FaultPlan:
 
     def planned_job_faults(self, key: str, attempt: int) -> tuple[FaultRule, ...]:
         """Every job-scoped fault that will fire for ``(key, attempt)`` —
-        computable anywhere, which is what lets the pool parent announce
-        faults its workers will execute."""
+        computable anywhere, which is what lets the coordinator announce
+        faults its workers execute."""
         out = []
         for kind in _JOB_KINDS:
             rule = self.select(kind, key, attempt)
@@ -262,21 +262,19 @@ def execute_job_faults(rules: tuple[FaultRule, ...], key: str, attempt: int) -> 
             raise InjectedFault(f"injected worker-death for {key} (attempt {attempt})")
 
 
-def fire_job_faults(key: str, attempt: int, *, announce: bool = True) -> None:
-    """Hook for job-attempt sites (serial retry loop, pool worker shim).
+def fire_job_faults(key: str, attempt: int) -> None:
+    """Hook for job-attempt sites (inline, pool worker, remote worker):
+    carry out the job faults the plan selects for ``(key, attempt)``.
 
-    ``announce=False`` is the pool-worker spelling: the parent already
-    announced at submission time, the worker only executes.
+    It never announces them: the dispatch ledger does when it counts the
+    attempt, so an attempt is announced the same wherever it ran.
     """
     plan = _PLAN
     if plan is None:
         return
     rules = plan.planned_job_faults(key, attempt)
-    if not rules:
-        return
-    if announce:
-        announce_faults(rules, key, attempt)
-    execute_job_faults(rules, key, attempt)
+    if rules:
+        execute_job_faults(rules, key, attempt)
 
 
 def maybe_corrupt_artifact(path, key: str) -> bool:

@@ -20,8 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exec.engine import SerialEngine
-from repro.exec.pool import ProcessPoolEngine
+from repro.exec.engine import build_engine
 from repro.exec.store import ResultStore
 from repro.obs.metrics import METRICS
 from repro.prep import configure_prep
@@ -69,26 +68,6 @@ class ServeSettings:
         return self.registrar_port is not None or self.fleet_max > 0
 
 
-def _build_engine(settings: ServeSettings, registrar=None):
-    """Engine selection, mirroring the batch CLI: an explicit ``engine``
-    wins, otherwise ``workers`` (or a hosted registrar) implies remote
-    and ``jobs > 1`` a pool."""
-    name = settings.engine or (
-        "remote"
-        if (settings.workers or registrar is not None)
-        else "pool" if settings.jobs > 1 else "serial"
-    )
-    if name == "remote":
-        if not settings.workers and registrar is None:
-            raise ValueError("engine 'remote' requires worker addresses")
-        from repro.dist import RemoteEngine
-
-        return RemoteEngine(settings.workers or (), membership=registrar)
-    if name == "pool":
-        return ProcessPoolEngine(settings.jobs)
-    return SerialEngine()
-
-
 def build_service(settings: ServeSettings) -> SweepService:
     """Assemble the engine/store/admission stack behind one service.
 
@@ -104,7 +83,9 @@ def build_service(settings: ServeSettings) -> SweepService:
         registrar = FleetRegistrar(
             settings.host, settings.registrar_port or 0
         ).start()
-    engine = _build_engine(settings, registrar)
+    engine = build_engine(
+        settings.engine, jobs=settings.jobs, workers=settings.workers or (), membership=registrar
+    )
     backend = None
     if settings.store_shards > 1:
         from repro.exec.backend import ShardedBackend

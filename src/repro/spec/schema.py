@@ -49,7 +49,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exec.engine import EngineOptions, ExecutionEngine, SerialEngine
+from repro.exec.engine import (
+    ENGINE_KINDS,
+    EngineOptions,
+    ExecutionEngine,
+    build_engine,
+    engine_kind,
+)
 from repro.exec.faults import FaultPlan
 from repro.exec.grid import POLICY_ALIASES, GridError, SweepGrid
 from repro.sim.config import CACHE_BACKENDS, DEFAULT_CACHE_BACKEND
@@ -119,23 +125,12 @@ class EngineSpec:
     options: EngineOptions = field(default_factory=EngineOptions)
 
     def resolved_kind(self) -> str:
-        if self.kind is not None:
-            return self.kind
-        return "remote" if self.workers else "pool" if self.jobs > 1 else "serial"
+        return engine_kind(self.kind, jobs=self.jobs, remote=bool(self.workers))
 
     def build(self) -> ExecutionEngine:
-        kind = self.resolved_kind()
-        if kind == "remote":
-            from repro.dist import RemoteEngine, parse_worker_address
-
-            return RemoteEngine(
-                [parse_worker_address(w) for w in self.workers], options=self.options
-            )
-        if kind == "pool":
-            from repro.exec.pool import ProcessPoolEngine
-
-            return ProcessPoolEngine(self.jobs, options=self.options)
-        return SerialEngine(options=self.options)
+        return build_engine(
+            self.kind, jobs=self.jobs, workers=self.workers, options=self.options
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -305,7 +300,7 @@ def _parse_engine(payload: dict, problems: _Problems) -> EngineSpec:
         return EngineSpec()
     _check_keys(block, _ENGINE_KEYS, "spec.engine", problems)
     kind = block.get("kind")
-    if kind is not None and kind not in ("serial", "pool", "remote"):
+    if kind is not None and kind not in ENGINE_KINDS:
         problems.add("spec.engine.kind", f"expected serial, pool or remote, got {kind!r}")
         kind = None
     jobs = block.get("jobs", 1)

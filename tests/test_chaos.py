@@ -99,15 +99,40 @@ def _journal_cells(path: Path) -> int:
         return 0
 
 
+def _child_pids(pid: int) -> list[int]:
+    """Live child processes of ``pid`` (Linux ``/proc``)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 def _kill_after_cells(argv, journal: Path, n_cells: int, sig=signal.SIGKILL) -> subprocess.Popen:
     """Start the sweep and deliver ``sig`` once ``n_cells`` outcomes are
-    durably journaled (i.e. genuinely mid-flight)."""
+    durably journaled (i.e. genuinely mid-flight).  The victim's child
+    processes at the moment of the signal are kept as ``proc.children``."""
     proc = subprocess.Popen(
         argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_env()
     )
+    proc.children = []
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
         if _journal_cells(journal) >= n_cells:
+            proc.children = _child_pids(proc.pid)
             proc.send_signal(sig)
             break
         if proc.poll() is not None:  # finished before we could interrupt it
@@ -127,10 +152,23 @@ def test_sigkill_then_resume_matches_uninterrupted(tmp_path, jobs, faults):
     victim = _kill_after_cells(
         _sweep_argv(journal, jobs=jobs, faults=faults), journal, n_cells=2
     )
-    assert victim.returncode == -signal.SIGKILL, (
-        f"sweep finished (rc={victim.returncode}) before the kill landed — "
-        "the grid is too fast for a mid-flight SIGKILL; raise --intervals"
-    )
+    try:
+        assert victim.returncode == -signal.SIGKILL, (
+            f"sweep finished (rc={victim.returncode}) before the kill landed — "
+            "the grid is too fast for a mid-flight SIGKILL; raise --intervals"
+        )
+        if jobs > 1:
+            # Pool workers must not outlive their SIGKILLed coordinator.
+            assert victim.children, "the pool sweep had no worker processes"
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, victim.children)):
+                time.sleep(0.1)
+            survivors = [pid for pid in victim.children if _alive(pid)]
+            assert not survivors, f"pool workers {survivors} outlived the coordinator"
+    finally:
+        for pid in victim.children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
     completed = _journal_cells(journal)
     assert 1 <= completed < SWEEP_CELLS, "the kill must land mid-sweep"
 

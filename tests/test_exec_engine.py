@@ -15,7 +15,8 @@ import pytest
 
 from repro.cache.stats import StatsSnapshot
 from repro.core.records import RunResult
-from repro.exec.engine import SerialEngine, execute_job
+from repro.exec.dispatch import Backoff
+from repro.exec.engine import EngineOptions, SerialEngine, execute_job
 from repro.exec.jobs import JobSpec
 from repro.exec.pool import ProcessPoolEngine
 from repro.sim.driver import run_application
@@ -185,15 +186,16 @@ class TestBackoff:
     def _capture_sleeps(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr(
-            "repro.exec.engine.time.sleep", lambda s: sleeps.append(s)
+            "repro.exec.dispatch.time.sleep", lambda s: sleeps.append(s)
         )
         return sleeps
 
     def test_backoff_is_jittered_not_lockstep(self, monkeypatch):
         sleeps = self._capture_sleeps(monkeypatch)
-        engine = SerialEngine(backoff_s=1.0, backoff_cap_s=100.0, backoff_budget_s=1000.0)
+        options = EngineOptions(backoff_s=1.0, backoff_cap_s=100.0, backoff_budget_s=1000.0)
+        backoff = Backoff(options)
         for _ in range(32):
-            engine._backoff_sleep(1)
+            backoff.sleep(1)
         # Every delay lands in [0.5, 1.0) x nominal, and they are not all
         # the identical beat.
         assert all(0.5 <= s < 1.0 for s in sleeps)
@@ -201,27 +203,28 @@ class TestBackoff:
 
     def test_backoff_doubles_then_caps(self, monkeypatch):
         sleeps = self._capture_sleeps(monkeypatch)
-        monkeypatch.setattr("repro.exec.engine.random.random", lambda: 1.0)  # no jitter
-        engine = SerialEngine(backoff_s=0.1, backoff_cap_s=0.5, backoff_budget_s=1000.0)
+        monkeypatch.setattr("repro.exec.dispatch.random.random", lambda: 1.0)  # no jitter
+        backoff = Backoff(EngineOptions(backoff_s=0.1, backoff_cap_s=0.5, backoff_budget_s=1000.0))
         for round_ in range(1, 7):
-            engine._backoff_sleep(round_)
+            backoff.sleep(round_)
         assert sleeps == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5, 0.5])
 
     def test_backoff_budget_bounds_a_batch(self, monkeypatch):
         sleeps = self._capture_sleeps(monkeypatch)
-        monkeypatch.setattr("repro.exec.engine.random.random", lambda: 1.0)
-        engine = SerialEngine(backoff_s=1.0, backoff_cap_s=10.0, backoff_budget_s=2.5)
-        total = sum(engine._backoff_sleep(r) for r in range(1, 20))
+        monkeypatch.setattr("repro.exec.dispatch.random.random", lambda: 1.0)
+        options = EngineOptions(backoff_s=1.0, backoff_cap_s=10.0, backoff_budget_s=2.5)
+        backoff = Backoff(options)
+        total = sum(backoff.sleep(r) for r in range(1, 20))
         assert total == pytest.approx(2.5)
         assert sum(sleeps) == pytest.approx(2.5)
         # Once spent, further retries proceed immediately ...
-        assert engine._backoff_sleep(20) == 0.0
-        # ... and the next batch refills the budget.
-        engine._reset_backoff()
-        assert engine._backoff_sleep(1) > 0.0
+        assert backoff.sleep(20) == 0.0
+        # ... and the next batch (a fresh ledger) starts with a full budget.
+        assert Backoff(options).sleep(1) > 0.0
 
     def test_run_refills_budget_per_batch(self, monkeypatch, tiny_config):
-        self._capture_sleeps(monkeypatch)
+        sleeps = self._capture_sleeps(monkeypatch)
+        monkeypatch.setattr("repro.exec.dispatch.random.random", lambda: 1.0)
         runner = _FlakyRunner(n_failures=2)
         engine = SerialEngine(
             max_retries=2, backoff_s=1.0, backoff_cap_s=1.0, backoff_budget_s=1.5,
@@ -229,15 +232,15 @@ class TestBackoff:
         )
         spec = JobSpec("ft", "shared", tiny_config)
         assert engine.run([spec])[0].ok
-        assert engine._backoff_left < engine.backoff_budget_s
-        runner.n_failures = 0
-        engine.run([spec])
-        assert engine._backoff_left == engine.backoff_budget_s
+        # Two retries: 1.0s, then the 0.5s the budget has left.
+        assert sleeps == pytest.approx([1.0, 0.5])
+        runner.calls = 0
+        assert engine.run([spec])[0].ok
+        assert sleeps == pytest.approx([1.0, 0.5, 1.0, 0.5]), "each run() refills the budget"
 
     def test_zero_backoff_never_sleeps(self, monkeypatch):
         sleeps = self._capture_sleeps(monkeypatch)
-        engine = SerialEngine(backoff_s=0.0)
-        assert engine._backoff_sleep(3) == 0.0
+        assert Backoff(EngineOptions(backoff_s=0.0)).sleep(3) == 0.0
         assert sleeps == []
 
     def test_invalid_backoff_parameters_rejected(self):
